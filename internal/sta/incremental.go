@@ -2,7 +2,6 @@ package sta
 
 import (
 	"math/rand"
-	"sort"
 
 	"gotaskflow/internal/circuit"
 )
@@ -74,53 +73,63 @@ func (t *Timing) RandomModifier(rng *rand.Rand) []int {
 // forward cone is everything reachable through fanouts (arrival, slew and
 // load may change there); the backward cone is everything that reaches the
 // forward cone through fanins (required time may change there).
+//
+// The traversal runs on scratch kept in t and cleared by walking the
+// result, so an update costs its two result slices. PrepareUpdate must
+// therefore not be called concurrently on one Timing.
 func (t *Timing) PrepareUpdate(seeds []int) Update {
 	n := t.Ckt.NumGates()
-	inFwd := make([]bool, n)
-	queue := make([]int, 0, len(seeds))
+	if len(t.inFwd) != n {
+		t.inFwd, t.inBwd = make([]bool, n), make([]bool, n)
+	}
+	// queue lists every gate visited so far; queue[head:] awaits
+	// expansion. The forward visit seeds the backward one.
+	queue := t.coneQueue[:0]
 	for _, s := range seeds {
-		if !inFwd[s] {
-			inFwd[s] = true
-			queue = append(queue, s)
+		if !t.inFwd[s] {
+			t.inFwd[s] = true
+			queue = append(queue, int32(s))
 		}
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, wi := range t.Ckt.Gates[v].Fanout {
-			if w := int(wi); !inFwd[w] {
-				inFwd[w] = true
+	for head := 0; head < len(queue); head++ {
+		for _, w := range t.Ckt.Gates[queue[head]].Fanout {
+			if !t.inFwd[w] {
+				t.inFwd[w] = true
 				queue = append(queue, w)
 			}
 		}
 	}
-	inBwd := make([]bool, n)
-	for v := 0; v < n; v++ {
-		if inFwd[v] && !inBwd[v] {
-			inBwd[v] = true
-			queue = append(queue, v)
-		}
+	nf := len(queue)
+	for _, v := range queue {
+		t.inBwd[v] = true
 	}
-	for len(queue) > 0 {
-		v := queue[len(queue)-1]
-		queue = queue[:len(queue)-1]
-		for _, ui := range t.Ckt.Gates[v].Fanin {
-			if u := int(ui); !inBwd[u] {
-				inBwd[u] = true
+	for head := 0; head < len(queue); head++ {
+		for _, u := range t.Ckt.Gates[queue[head]].Fanin {
+			if !t.inBwd[u] {
+				t.inBwd[u] = true
 				queue = append(queue, u)
 			}
 		}
 	}
-	var u Update
+	t.coneQueue = queue
+
+	u := Update{Fwd: make([]int, 0, nf), Bwd: make([]int, 0, len(queue))}
 	for v := 0; v < n; v++ {
-		if inFwd[v] {
+		if t.inFwd[v] {
 			u.Fwd = append(u.Fwd, v)
 		}
-		if inBwd[v] {
+	}
+	for v := n - 1; v >= 0; v-- {
+		if t.inBwd[v] {
 			u.Bwd = append(u.Bwd, v)
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(u.Bwd)))
+	for _, v := range u.Fwd {
+		t.inFwd[v] = false
+	}
+	for _, v := range u.Bwd {
+		t.inBwd[v] = false
+	}
 	return u
 }
 

@@ -12,7 +12,8 @@
 // RelaxBackward, pure functions of neighbor state) from the *parallel
 // decomposition*, which is supplied by the two drivers: stav1 parallelizes
 // with the levelize-and-barrier idiom of OpenTimer v1 (OpenMP), stav2 with
-// a per-update task dependency graph as in OpenTimer v2 (Cpp-Taskflow).
+// a task dependency graph over each update's cone as in OpenTimer v2
+// (Cpp-Taskflow).
 // Both produce bit-identical results, which the tests verify.
 package sta
 
@@ -65,6 +66,11 @@ type Timing struct {
 	EarlyRequired [ntr][]float64
 	EarlySlack    [ntr][]float64
 	EarlyDelay    [][]float64
+
+	// PrepareUpdate's scratch: cone membership marks (all false between
+	// calls) and the traversal queue.
+	inFwd, inBwd []bool
+	coneQueue    []int32
 }
 
 // New creates a Timing for ckt with the given clock period (ps).

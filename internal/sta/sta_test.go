@@ -1,6 +1,7 @@
 package sta
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -280,6 +281,34 @@ func TestPrepareUpdateCones(t *testing.T) {
 	}
 	if upd.NumTasks() != 14 {
 		t.Fatalf("NumTasks = %d", upd.NumTasks())
+	}
+}
+
+// TestPrepareUpdateAllocBound checks that back-to-back PrepareUpdate
+// calls on one Timing leave no stale marks behind — every cone matches a
+// fresh Timing's — and that an update allocates only its two result
+// slices.
+func TestPrepareUpdateAllocBound(t *testing.T) {
+	ckt := circuit.Generate("t", circuit.Config{Gates: 600, Seed: 4})
+	tm := New(ckt, clock)
+	rng := rand.New(rand.NewSource(6))
+	seeds := make([][]int, 40)
+	for i := range seeds {
+		seeds[i] = []int{rng.Intn(ckt.NumGates()), rng.Intn(ckt.NumGates())}
+	}
+	for _, s := range seeds {
+		got, want := tm.PrepareUpdate(s), New(ckt, clock).PrepareUpdate(s)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("seeds %v: cone %v, want %v", s, got, want)
+		}
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		tm.PrepareUpdate(seeds[i%len(seeds)])
+		i++
+	})
+	if allocs > 2 {
+		t.Fatalf("PrepareUpdate allocates %.1f objects per call, want <= 2", allocs)
 	}
 }
 

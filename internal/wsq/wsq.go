@@ -62,6 +62,13 @@ func (r *ring[T]) grow(bottom, top, need int64) *ring[T] {
 // Deque is an unbounded single-owner multi-thief work-stealing deque of
 // pointers. The zero value is not usable; construct with New.
 //
+// Pop clears the slot of every item it returns, so a popped item is not
+// kept reachable by the deque. Stolen items are not cleared: a thief
+// cannot clear its slot safely, because the owner may already have reused
+// it. Their pointers stay in the ring until a later push overwrites them,
+// which bounds what the deque can keep alive beyond its live items to one
+// ring's capacity of stolen items.
+//
 // Push, PushBatch and Pop must only be called by the owner goroutine. Steal
 // may be called by any goroutine. Empty and Len may be called by any
 // goroutine but are inherently racy snapshots.
@@ -175,12 +182,17 @@ func (d *Deque[T]) Pop() (*T, bool) {
 			d.bottom.Store(b + 1)
 			return nil, false
 		}
+		// Won: a thief still holding the old top fails its CAS, so the
+		// slot is ours to clear.
+		a.store(b, nil)
 		d.bottom.Store(b + 1)
 		if c := d.ctr; c != nil {
 			c.Pops.Add(1)
 		}
 		return item, true
 	}
+	// Interior item: no thief can claim index b while top < b.
+	a.store(b, nil)
 	if c := d.ctr; c != nil {
 		c.Pops.Add(1)
 	}
