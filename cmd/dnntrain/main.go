@@ -88,7 +88,7 @@ func main() {
 // trace-event JSON (-trace) and/or the live /debug/taskflow/ endpoint
 // (-debug) served for the duration of training.
 func trainObserved(cfg dnn.Config, data *mnist.Dataset, workers int, tracePath, debugAddr string) (*dnn.MLP, []float64, error) {
-	e := executor.New(workers, executor.WithMetrics(), executor.WithTracing(0))
+	e := executor.New(workers, executor.WithMetrics(), executor.WithFlightRecorder(1<<14))
 	defer e.Shutdown()
 	tf := core.NewShared(e).SetName("dnntrain")
 

@@ -175,7 +175,7 @@ func runReport(d experiments.Design, scale, workers int, tracePath, debugAddr st
 // -debug exposes the live /debug/taskflow/ endpoint while it executes.
 func reportCircuit(ckt *circuit.Circuit, workers int, tracePath, debugAddr string) {
 	tm := sta.New(ckt, experiments.ClockPeriod)
-	e := executor.New(workers, executor.WithMetrics(), executor.WithTracing(0))
+	e := executor.New(workers, executor.WithMetrics(), executor.WithFlightRecorder(1<<14))
 	a := stav2.NewShared(tm, e)
 	defer a.Close()
 	tf := a.Taskflow(tm.FullUpdate())

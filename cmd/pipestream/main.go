@@ -58,7 +58,7 @@ func main() {
 
 	opts := []executor.Option{}
 	if *traceOut != "" {
-		opts = append(opts, executor.WithTracing(0))
+		opts = append(opts, executor.WithFlightRecorder(1<<14))
 	}
 	if *latency {
 		opts = append(opts, executor.WithLatencyHistograms())

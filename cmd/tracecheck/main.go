@@ -6,16 +6,16 @@
 // arrows, and scheduler instants.
 //
 // With -flight it validates flight-recorder dumps (Executor.FlightSnapshot,
-// the /debug/taskflow/flight endpoint) instead. A flight dump comes from
-// continuously-armed wrapped rings rather than a bracketed capture
-// session, so the structural promises differ: droppedEvents metadata must
-// be present and numeric even when zero (wrapped rings legitimately
-// report large drop counts, and absence must be distinguishable from
-// zero), totalEvents must account for every rendered event, scheduler
-// instants must be in non-decreasing timestamp order (the snapshot merges
-// per-worker rings into one sorted stream), and the span/arrow minimums
-// are relaxed — a ring that wrapped mid-task can lose the start of a
-// span or the release side of an arrow.
+// the /debug/taskflow/flight endpoint) instead. A flight dump is whatever
+// the continuously-armed wrapped rings still hold rather than a
+// StartTrace/StopTrace window, so the structural promises differ:
+// droppedEvents metadata must be present and numeric even when zero
+// (wrapped rings legitimately report large drop counts, and absence must
+// be distinguishable from zero), totalEvents must account for every
+// rendered event, scheduler instants must be in non-decreasing timestamp
+// order (the snapshot merges per-worker rings into one sorted stream),
+// and the span/arrow minimums are relaxed — a ring that wrapped mid-task
+// can lose the start of a span or the release side of an arrow.
 //
 // Usage:
 //

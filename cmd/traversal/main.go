@@ -82,7 +82,7 @@ func main() {
 // duration.
 func runInstrumented(size, workers int, seed int64, prom bool, dotPath, tracePath, debugAddr string) {
 	d := graphgen.Random(size, graphgen.Config{Seed: seed})
-	e := executor.New(workers, executor.WithMetrics(), executor.WithTracing(0))
+	e := executor.New(workers, executor.WithMetrics(), executor.WithFlightRecorder(1<<14))
 	defer e.Shutdown()
 	name := fmt.Sprintf("traversal_%d", d.N)
 	tf := core.NewShared(e).SetName(name).CollectRunStats(true)

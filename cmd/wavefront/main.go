@@ -79,7 +79,7 @@ func main() {
 // dump, a Chrome trace capture of the run, and serves the live
 // /debug/taskflow/ endpoint for its duration.
 func runInstrumented(size, workers int, prom bool, dotPath, tracePath, debugAddr string) {
-	e := executor.New(workers, executor.WithMetrics(), executor.WithTracing(0))
+	e := executor.New(workers, executor.WithMetrics(), executor.WithFlightRecorder(1<<14))
 	defer e.Shutdown()
 	name := fmt.Sprintf("wavefront_%dx%d", size, size)
 	tf := core.NewShared(e).SetName(name).CollectRunStats(true)

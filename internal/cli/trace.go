@@ -8,19 +8,19 @@ import (
 	"gotaskflow/internal/tracing"
 )
 
-// StartTraceCapture begins an event-trace capture on e for a driver's
-// -trace flag. The returned stop function ends the capture and writes the
-// Chrome trace-event JSON to path (load it in https://ui.perfetto.dev or
+// StartTraceCapture opens a trace window on e for a driver's -trace flag.
+// The returned stop function closes the window and writes the Chrome
+// trace-event JSON to path (load it in https://ui.perfetto.dev or
 // chrome://tracing). The executor must have been built with
-// executor.WithTracing.
+// executor.WithFlightRecorder; a second call of stop reports an error.
 func StartTraceCapture(e *executor.Executor, path string) (stop func() error, err error) {
 	if !e.StartTrace() {
-		return nil, fmt.Errorf("cli: trace capture could not start (executor built without tracing, or a capture is already active)")
+		return nil, fmt.Errorf("cli: trace window could not open (executor built without a flight recorder, or a window is already open)")
 	}
 	return func() error {
 		tr, ok := e.StopTrace()
 		if !ok {
-			return fmt.Errorf("cli: no active trace capture to stop")
+			return fmt.Errorf("cli: no open trace window to stop")
 		}
 		f, err := os.Create(path)
 		if err != nil {
@@ -35,7 +35,7 @@ func StartTraceCapture(e *executor.Executor, path string) (stop func() error, er
 		}
 		msg := fmt.Sprintf("wrote %d trace events to %s", len(tr.Events), path)
 		if tr.Dropped > 0 {
-			msg += fmt.Sprintf(" (%d dropped; raise the ring capacity)", tr.Dropped)
+			msg += fmt.Sprintf(" (%d dropped; raise the flight recorder capacity)", tr.Dropped)
 		}
 		fmt.Fprintln(os.Stderr, msg)
 		return nil

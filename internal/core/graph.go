@@ -69,7 +69,7 @@ type node struct {
 	execCount atomic.Uint64
 	execDurNs atomic.Int64
 
-	// readyAtNs is the monotonic instant (nowNanos, latency.go) the
+	// readyAtNs is the monotonic instant (executor.Nanotime) the
 	// node's current execution became ready, i.e. was queued. Written by
 	// whichever goroutine queues the execution and read by the worker
 	// that runs it; the queue publication provides the happens-before
@@ -257,8 +257,8 @@ func (n *node) label(i int) string {
 var traceIDCounter atomic.Uint64
 
 // Describe implements executor.Described: the task identity carried into
-// observer hooks and trace events. Building it copies string headers and
-// integers — no allocation on the traced hot path.
+// trace events. Building it copies string headers and integers — no
+// allocation on the traced hot path.
 func (n *node) Describe() executor.TaskMeta {
 	m := executor.TaskMeta{
 		Name: n.nodeName(),

@@ -21,23 +21,13 @@ package core
 // attempt whose failure arms another backoff is not recorded — the
 // execution is still outstanding — and its resubmission restamps
 // readyAtNs, so the eventual record charges the last wait, not the
-// backoff sleeps.
+// backoff sleeps. Every stamp is executor.Nanotime, the time base of the
+// flight recorder's events too.
 
-import (
-	"time"
-
-	"gotaskflow/internal/executor"
-)
-
-// latencyEpoch anchors nowNanos. time.Since reads the monotonic clock
-// and allocates nothing.
-var latencyEpoch = time.Now()
-
-// nowNanos returns monotonic nanoseconds since process-local epoch.
-func nowNanos() int64 { return int64(time.Since(latencyEpoch)) }
+import "gotaskflow/internal/executor"
 
 // noteLatency records one resolved execution of n whose body started at
 // startNs. Callers have checked t.lat != nil.
 func (t *topology) noteLatency(ctx executor.Context, n *node, startNs int64) {
-	t.lat.RecordLatency(ctx.WorkerID(), startNs-n.readyAtNs, nowNanos()-startNs)
+	t.lat.RecordLatency(ctx.WorkerID(), startNs-n.readyAtNs, executor.Nanotime()-startNs)
 }

@@ -108,7 +108,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 	if latOn {
 		// One clock read stamps every node: sources are genuinely ready
 		// now, and non-sources are restamped at dependency release.
-		readyNs = nowNanos()
+		readyNs = executor.Nanotime()
 	}
 	for _, n := range g.nodes {
 		n.topo = t

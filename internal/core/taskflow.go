@@ -305,7 +305,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	// start as a batch.
 	var readyNs int64
 	if t.lat != nil {
-		readyNs = nowNanos()
+		readyNs = executor.Nanotime()
 	}
 	runnable := make([]*executor.Runnable, 0, numSources)
 	for _, n := range g.nodes {

@@ -275,7 +275,7 @@ func (t *topology) schedule(ctx executor.Context, s *node, cached bool) {
 	}
 	t.pending.Add(1)
 	if t.lat != nil {
-		s.readyAtNs = nowNanos()
+		s.readyAtNs = executor.Nanotime()
 	}
 	if s.hasAcquires() && !t.admit(ctx, s) {
 		return // parked on a semaphore; a release will submit it
@@ -319,7 +319,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 	}
 	var lstart int64
 	if t.lat != nil {
-		lstart = nowNanos()
+		lstart = executor.Nanotime()
 	}
 	switch {
 	case n.condWork != nil:
@@ -499,7 +499,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	needCtx := false
 	var readyNs int64
 	if t.lat != nil {
-		readyNs = nowNanos()
+		readyNs = executor.Nanotime()
 	}
 	for _, c := range g.nodes {
 		c.topo = t
@@ -598,7 +598,7 @@ func (t *topology) notifySucc(ctx executor.Context, src, s *node, cached bool, e
 	}
 	t.pending.Add(1)
 	if t.lat != nil {
-		s.readyAtNs = nowNanos()
+		s.readyAtNs = executor.Nanotime()
 	}
 	if s.hasAcquires() && !t.admit(ctx, s) {
 		return cached, extra // parked on a semaphore; a release will submit it

@@ -6,19 +6,19 @@
 //	/debug/taskflow/metrics     scheduler counters, Prometheus text format
 //	/debug/taskflow/flows       multi-tenant flow stats (always-on counters)
 //	/debug/taskflow/latency     per-flow latency quantile table (p50/p90/p99/p999)
-//	/debug/taskflow/trace/start begin an event-trace capture
-//	/debug/taskflow/trace/stop  end it and stream Chrome trace-event JSON
+//	/debug/taskflow/trace/start open a trace window over the flight recorder
+//	/debug/taskflow/trace/stop  close it and stream Chrome trace-event JSON
 //	/debug/taskflow/flight      snapshot the flight recorder as Chrome trace JSON
 //	/debug/taskflow/dot         annotated DOT of a registered taskflow
 //
 // Mount Registry.Handler on any mux, or call ListenAndServe for a
 // dedicated debug listener. Everything uses only the standard library.
 //
-// The trace endpoints drive the executor's Start/StopTrace capture
-// window: start it, let the workload run, then stop it and load the
-// response straight into Perfetto (https://ui.perfetto.dev) or
+// The trace endpoints drive the executor's Start/StopTrace window over
+// its flight recorder: start it, let the workload run, then stop it and
+// load the response straight into Perfetto (https://ui.perfetto.dev) or
 // chrome://tracing. The executor must have been built with
-// executor.WithTracing, otherwise trace/start reports 409 Conflict.
+// executor.WithFlightRecorder, otherwise trace/start reports 409 Conflict.
 package debughttp
 
 import (
@@ -130,8 +130,8 @@ func (r *Registry) index(w http.ResponseWriter, req *http.Request) {
 	fmt.Fprintf(w, "%smetrics      scheduler counters (Prometheus text; enabled=%v)\n", Prefix, r.exec.MetricsEnabled())
 	fmt.Fprintf(w, "%sflows        multi-tenant flow stats (%d flows registered)\n", Prefix, len(r.exec.FlowStats()))
 	fmt.Fprintf(w, "%slatency      per-flow latency quantiles (enabled=%v)\n", Prefix, r.exec.LatencyEnabled())
-	fmt.Fprintf(w, "%strace/start  begin an event-trace capture (enabled=%v, active=%v)\n", Prefix, r.exec.TracingEnabled(), r.exec.TraceActive())
-	fmt.Fprintf(w, "%strace/stop   end the capture, respond with Chrome trace-event JSON\n", Prefix)
+	fmt.Fprintf(w, "%strace/start  open a trace window over the flight recorder (enabled=%v, active=%v)\n", Prefix, r.exec.FlightEnabled(), r.exec.TraceActive())
+	fmt.Fprintf(w, "%strace/stop   close the window, respond with Chrome trace-event JSON\n", Prefix)
 	fmt.Fprintf(w, "%sflight       flight-recorder snapshot, Chrome trace-event JSON (enabled=%v)\n", Prefix, r.exec.FlightEnabled())
 	fmt.Fprintf(w, "%sdot?flow=NAME  annotated DOT dump of a registered taskflow\n\n", Prefix)
 	names := r.flowNames()
@@ -227,26 +227,22 @@ func (r *Registry) serveFlight(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (r *Registry) traceStart(w http.ResponseWriter, _ *http.Request) {
-	if !r.exec.TracingEnabled() {
-		http.Error(w, "tracing disabled: build the executor with executor.WithTracing(0)", http.StatusConflict)
+	if !r.exec.FlightEnabled() {
+		http.Error(w, "tracing disabled: build the executor with executor.WithFlightRecorder(0)", http.StatusConflict)
 		return
 	}
 	if !r.exec.StartTrace() {
-		http.Error(w, "a trace capture is already active; stop it first", http.StatusConflict)
+		http.Error(w, "a trace window is already open; stop it first", http.StatusConflict)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "trace capture started; fetch trace/stop to collect it")
+	fmt.Fprintln(w, "trace window opened; fetch trace/stop to collect it")
 }
 
 func (r *Registry) traceStop(w http.ResponseWriter, _ *http.Request) {
-	if !r.exec.TraceActive() {
-		http.Error(w, "no trace capture is active; fetch trace/start first", http.StatusConflict)
-		return
-	}
 	tr, ok := r.exec.StopTrace()
 	if !ok {
-		http.Error(w, "no trace capture is active; fetch trace/start first", http.StatusConflict)
+		http.Error(w, "no trace window is open; fetch trace/start first", http.StatusConflict)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -31,7 +31,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string) {
 // surface: metrics scrape, a full trace start → run → stop round trip
 // whose response is valid Chrome trace JSON, and the annotated DOT dump.
 func TestDebugEndpointLifecycle(t *testing.T) {
-	e := executor.New(2, executor.WithMetrics(), executor.WithTracing(1<<12))
+	e := executor.New(2, executor.WithMetrics(), executor.WithFlightRecorder(1<<12))
 	defer e.Shutdown()
 	tf := core.NewShared(e).SetName("debugflow").CollectRunStats(true)
 	a := tf.Emplace1(func() {}).Name("first")
@@ -143,7 +143,7 @@ func TestDebugEndpointsDisabledExecutor(t *testing.T) {
 		t.Fatalf("disabled metrics scrape: status %d body %q", status, body)
 	}
 	if status, _ = get(t, srv, "/debug/taskflow/trace/start"); status != http.StatusConflict {
-		t.Fatalf("trace/start without WithTracing: status %d, want 409", status)
+		t.Fatalf("trace/start without WithFlightRecorder: status %d, want 409", status)
 	}
 }
 

@@ -101,7 +101,6 @@ func TestLatencyAndFlightEndpoints(t *testing.T) {
 func TestObservabilityEndpointsUnderConcurrency(t *testing.T) {
 	e := executor.New(4,
 		executor.WithMetrics(),
-		executor.WithTracing(1<<10),
 		executor.WithLatencyHistograms(),
 		executor.WithFlightRecorder(1<<10))
 	defer e.Shutdown()
@@ -158,7 +157,7 @@ func TestObservabilityEndpointsUnderConcurrency(t *testing.T) {
 	hammers.Wait()
 	close(stop)
 	workload.Wait()
-	// A start-hammer may have left a capture active; stop it so the
+	// A start-hammer may have left a window open; stop it so the
 	// executor shuts down with no armed session.
 	e.StopTrace()
 }

@@ -113,26 +113,13 @@ type Context interface {
 	// Executor returns the owning scheduler (the real executor, or the
 	// simulation executor when the task runs under internal/sim).
 	Executor() Scheduler
-	// Tracing reports whether a trace capture is currently recording —
-	// the cheap guard before building a TaskMeta for Trace.
+	// Tracing reports whether events are being recorded (the executor
+	// was built WithFlightRecorder) — the cheap guard before building a
+	// TaskMeta for Trace.
 	Tracing() bool
-	// Trace records a trace event attributed to this worker. No-op unless
-	// a capture is active (see WithTracing / StartTrace).
+	// Trace records a trace event attributed to this worker into the
+	// flight recorder. No-op unless built WithFlightRecorder.
 	Trace(kind EventKind, meta TaskMeta, arg uint64)
-}
-
-// Observer receives callbacks around task execution, carrying the task's
-// identity (name, owning flow, run generation) when the task offers one
-// (see Described; anonymous tasks pass a zero TaskMeta). Observers may be
-// registered at construction or while running and must be safe for
-// concurrent use; they serve profiling and visualization (paper Section
-// IV, CPU utilization profile). A panicking observer is contained at the
-// worker level and routed through the executor's panic machinery
-// (PanicError / WithPanicHandler) — it never unwinds the worker loop —
-// but the remaining observers of that event are skipped.
-type Observer interface {
-	OnTaskStart(worker int, meta TaskMeta)
-	OnTaskEnd(worker int, meta TaskMeta)
 }
 
 // defaultWakeDen is the default denominator of the probabilistic
@@ -243,31 +230,18 @@ type Executor struct {
 
 	// busy counts workers currently inside a task. Maintaining it costs
 	// two shared-cacheline atomics per task, so it is only updated when
-	// profiling is requested (WithBusyTracking, WithObserver, or a later
-	// AddObserver).
-	trackBusy atomic.Bool
+	// built WithBusyTracking.
+	trackBusy bool
 	busy      atomic.Int64
-
-	// observers is a copy-on-write list so AddObserver is safe while the
-	// workers run: registration publishes a fresh slice, and each task
-	// invocation loads the list once, delivering balanced
-	// OnTaskStart/OnTaskEnd pairs even when registration races with it.
-	obsMu     sync.Mutex
-	observers atomic.Pointer[[]Observer]
 
 	// metrics is the scheduler counter storage (see metrics.go), non-nil
 	// only when built WithMetrics.
 	metricsOn bool
 	metrics   *metricsState
 
-	// tracer is the event-trace recorder (see trace.go), non-nil only when
-	// built WithTracing. Each instrumentation point is one nil check, plus
-	// one atomic flag load while armed.
-	tracer *tracerState
-
 	// flight is the always-armed flight recorder (see flight.go), non-nil
-	// only when built WithFlightRecorder. It shares the trace
-	// instrumentation points with tracer but never stops recording.
+	// only when built WithFlightRecorder. Each instrumentation point is
+	// one nil check on it.
 	flightCap int
 	flight    *flightState
 
@@ -312,32 +286,9 @@ func WithSeed(seed int64) Option {
 	return func(e *Executor) { e.seed, e.seedSet = seed, true }
 }
 
-// WithObserver registers an observer at construction. Observers imply busy
-// tracking. Observers may also be registered later with AddObserver.
-func WithObserver(o Observer) Option {
-	return func(e *Executor) { e.AddObserver(o) }
-}
-
 // WithBusyTracking enables the BusyWorkers counter used by profilers.
 func WithBusyTracking() Option {
-	return func(e *Executor) { e.trackBusy.Store(true) }
-}
-
-// AddObserver registers an observer, implying busy tracking. Safe to call
-// concurrently with running tasks: the observer list is copy-on-write, so
-// in-flight tasks keep the list they loaded (an observer registered
-// mid-task sees its first OnTaskStart on the next task, never an unpaired
-// OnTaskEnd). Observers must be safe for concurrent use.
-func (e *Executor) AddObserver(o Observer) {
-	e.obsMu.Lock()
-	var next []Observer
-	if p := e.observers.Load(); p != nil {
-		next = append(next, *p...)
-	}
-	next = append(next, o)
-	e.observers.Store(&next)
-	e.obsMu.Unlock()
-	e.trackBusy.Store(true)
+	return func(e *Executor) { e.trackBusy = true }
 }
 
 // WithoutTaskCache disables the per-worker speculative task cache
@@ -412,7 +363,7 @@ func New(n int, opts ...Option) *Executor {
 			w.queue.SetCounters(&e.metrics.deques[i].Counters)
 			w.metrics = &e.metrics.workers[i].workerMetrics
 		}
-		if e.tracer != nil || e.flight != nil {
+		if e.flight != nil {
 			// Ring reallocations on the push path are a latency smell worth a
 			// timeline mark; the hook runs on the owner, so it records into
 			// the owner's ring.
@@ -434,7 +385,7 @@ func (e *Executor) NumWorkers() int { return len(e.workers) }
 
 // BusyWorkers returns the number of workers currently executing a task.
 // It is a racy snapshot intended for profiling and is only maintained when
-// the executor was built with WithBusyTracking or WithObserver.
+// the executor was built with WithBusyTracking.
 func (e *Executor) BusyWorkers() int { return int(e.busy.Load()) }
 
 // Submit schedules a task from outside the worker pool via the injection
@@ -824,68 +775,24 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 		m.executed.Add(1)
 	}
 	tracing := w.Tracing()
-	busy := e.trackBusy.Load()
-	if !busy && !tracing {
+	if !e.trackBusy && !tracing {
 		e.safeRun(w, r)
 		return
 	}
-	meta := taskMetaOf(r)
-	// Load the observer list once so this task delivers balanced
-	// OnTaskStart/OnTaskEnd pairs even if AddObserver races with it.
-	var obs []Observer
-	if busy {
-		e.busy.Add(1)
-		if p := e.observers.Load(); p != nil {
-			obs = *p
-		}
-	}
-	e.notifyStart(w, obs, meta)
-	// Trace events sit innermost so spans bound the task body tightly,
-	// excluding observer work.
+	var meta TaskMeta
 	if tracing {
+		meta = taskMetaOf(r)
 		w.Trace(EvTaskStart, meta, 0)
 	}
-	e.safeRun(w, r)
-	if tracing {
-		w.Trace(EvTaskEnd, meta, 0)
+	if e.trackBusy {
+		e.busy.Add(1)
 	}
-	e.notifyEnd(w, obs, meta)
-	if busy {
+	e.safeRun(w, r)
+	if e.trackBusy {
 		e.busy.Add(-1)
 	}
-}
-
-// notifyStart/notifyEnd dispatch observer hooks under panic containment: a
-// panicking observer is routed through the PanicError/WithPanicHandler
-// machinery instead of unwinding into the worker loop. The remaining
-// observers of that event are skipped (the deferred recover unwinds the
-// dispatch loop), but the task itself still runs and later events still
-// reach every observer.
-func (e *Executor) notifyStart(w *worker, obs []Observer, meta TaskMeta) {
-	if len(obs) == 0 {
-		return
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.containPanic(w.id, rec)
-		}
-	}()
-	for _, o := range obs {
-		o.OnTaskStart(w.id, meta)
-	}
-}
-
-func (e *Executor) notifyEnd(w *worker, obs []Observer, meta TaskMeta) {
-	if len(obs) == 0 {
-		return
-	}
-	defer func() {
-		if rec := recover(); rec != nil {
-			e.containPanic(w.id, rec)
-		}
-	}()
-	for _, o := range obs {
-		o.OnTaskEnd(w.id, meta)
+	if tracing {
+		w.Trace(EvTaskEnd, meta, 0)
 	}
 }
 

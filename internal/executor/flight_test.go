@@ -2,6 +2,7 @@ package executor
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -11,8 +12,7 @@ import (
 // window, and everything older is counted as dropped — kept + dropped
 // equals everything ever recorded.
 func TestFlightWrapAroundAccounting(t *testing.T) {
-	e := New(1, WithFlightRecorder(8))
-	defer e.Shutdown()
+	e := bareRecorder(1, 8) // no live worker to add its own events to ring 0
 	const total = 20
 	for i := 0; i < total; i++ {
 		e.flight.record(0, EvTaskStart, TaskMeta{ID: uint64(i) + 1}, 0)
@@ -36,8 +36,8 @@ func TestFlightWrapAroundAccounting(t *testing.T) {
 	}
 }
 
-// TestFlightSnapshotSortedAndContinuous runs real work with no capture
-// session: the armed recorder alone must hold task events, and the merged
+// TestFlightSnapshotSortedAndContinuous runs real work with no trace
+// window: the armed recorder alone must hold task events, and the merged
 // snapshot must be time-ordered.
 func TestFlightSnapshotSortedAndContinuous(t *testing.T) {
 	e := New(2, WithFlightRecorder(0))
@@ -72,28 +72,167 @@ func TestFlightSnapshotSortedAndContinuous(t *testing.T) {
 	}
 }
 
-// TestFlightComposesWithTraceCapture proves the black box and a capture
-// session record independently from the shared instrumentation points.
+// TestFlightComposesWithTraceCapture proves a trace window and the black
+// box read the same rings without disturbing each other: a snapshot taken
+// while the window is open sees the events from before the window too,
+// and the window is unaffected by the snapshot.
 func TestFlightComposesWithTraceCapture(t *testing.T) {
-	e := New(1, WithFlightRecorder(0), WithTracing(0))
-	defer e.Shutdown()
+	e := bareRecorder(1, 64)
+	for i := 1; i <= 5; i++ {
+		e.flight.record(ExternalWorker, EvInjectPush, TaskMeta{ID: uint64(i)}, 0)
+	}
 	if !e.StartTrace() {
 		t.Fatal("StartTrace failed")
 	}
-	drain(t, e, 100)
-	cap, ok := e.StopTrace()
-	if !ok || len(cap.Events) == 0 {
-		t.Fatal("capture session recorded nothing")
+	for i := 6; i <= 8; i++ {
+		e.flight.record(ExternalWorker, EvInjectPush, TaskMeta{ID: uint64(i)}, 0)
 	}
 	fl, ok := e.FlightSnapshot()
-	if !ok || len(fl.Events) == 0 {
-		t.Fatal("flight recorder recorded nothing alongside the capture")
+	if !ok || len(fl.Events) != 8 || fl.Dropped != 0 {
+		t.Fatalf("snapshot during a window: ok=%v, %d events, %d dropped; want 8, 0", ok, len(fl.Events), fl.Dropped)
 	}
-	// After the capture stops, the flight recorder keeps going.
-	drain(t, e, 20)
+	if !e.TraceActive() {
+		t.Fatal("snapshot closed the window")
+	}
+	for i := 9; i <= 10; i++ {
+		e.flight.record(ExternalWorker, EvInjectPush, TaskMeta{ID: uint64(i)}, 0)
+	}
+	tr, ok := e.StopTrace()
+	if !ok {
+		t.Fatal("StopTrace failed")
+	}
+	if got := eventIDs(tr); !equalIDs(got, 6, 10) {
+		t.Fatalf("window holds IDs %v, want 6..10", got)
+	}
+	// After the window closes, the recorder keeps going.
+	e.flight.record(ExternalWorker, EvInjectPush, TaskMeta{ID: 11}, 0)
 	fl2, _ := e.FlightSnapshot()
-	if uint64(len(fl2.Events))+fl2.Dropped <= uint64(len(fl.Events))+fl.Dropped {
-		t.Fatal("flight recorder stopped with the capture session")
+	if got := eventIDs(fl2); !equalIDs(got, 1, 11) {
+		t.Fatalf("snapshot after the window holds IDs %v, want 1..11", got)
+	}
+}
+
+// bareRecorder returns an executor with a flight recorder and no running
+// workers, so tests control every event the rings hold.
+func bareRecorder(workers, capacity int) *Executor {
+	return &Executor{flight: newFlightState(workers, capacity)}
+}
+
+func eventIDs(tr Trace) []uint64 {
+	ids := make([]uint64, len(tr.Events))
+	for i, ev := range tr.Events {
+		ids[i] = ev.Meta.ID
+	}
+	return ids
+}
+
+// equalIDs reports whether ids is exactly lo, lo+1, ..., hi.
+func equalIDs(ids []uint64, lo, hi uint64) bool {
+	if uint64(len(ids)) != hi-lo+1 {
+		return false
+	}
+	for i, id := range ids {
+		if id != lo+uint64(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestTraceWindowHoldsItsEvents pins the window contract: exactly the
+// events recorded between StartTrace and StopTrace, on every ring, with
+// timestamps rebased to the window start.
+func TestTraceWindowHoldsItsEvents(t *testing.T) {
+	e := bareRecorder(2, 64)
+	for i := 1; i <= 4; i++ {
+		e.flight.record(int32(i%2), EvTaskStart, TaskMeta{ID: uint64(i)}, 0)
+	}
+	time.Sleep(time.Millisecond) // un-rebased stamps would exceed the window's length
+	before := time.Now()
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
+	for i := 5; i <= 10; i++ {
+		w := int32(i%3) - 1 // worker 0, worker 1 and the external ring
+		e.flight.record(w, EvTaskStart, TaskMeta{ID: uint64(i)}, 0)
+	}
+	tr, ok := e.StopTrace()
+	if !ok {
+		t.Fatal("StopTrace failed")
+	}
+	length := time.Since(before)
+	e.flight.record(0, EvTaskStart, TaskMeta{ID: 11}, 0)
+	if got := eventIDs(tr); !equalIDs(got, 5, 10) {
+		t.Fatalf("window holds IDs %v, want 5..10", got)
+	}
+	if tr.Dropped != 0 {
+		t.Fatalf("Dropped = %d, want 0", tr.Dropped)
+	}
+	if tr.Epoch.Before(before) {
+		t.Fatalf("window epoch %v precedes StartTrace", tr.Epoch)
+	}
+	for _, ev := range tr.Events {
+		if ev.Ts < 0 || ev.Ts > length {
+			t.Fatalf("event %d at %v, want an offset in [0, %v] from the window start", ev.Meta.ID, ev.Ts, length)
+		}
+	}
+}
+
+// TestTraceWindowWrapAccounting: a window that records more than a ring
+// holds keeps the newest events, and kept + Dropped equals the events
+// recorded inside the window — the overwritten events from before the
+// window are not counted.
+func TestTraceWindowWrapAccounting(t *testing.T) {
+	e := bareRecorder(1, 8)
+	for i := 0; i < 5; i++ {
+		e.flight.record(0, EvTaskStart, TaskMeta{}, 0)
+	}
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
+	const inWindow = 20
+	for i := 1; i <= inWindow; i++ {
+		e.flight.record(0, EvTaskStart, TaskMeta{ID: uint64(i)}, 0)
+	}
+	tr, ok := e.StopTrace()
+	if !ok {
+		t.Fatal("StopTrace failed")
+	}
+	if uint64(len(tr.Events))+tr.Dropped != inWindow {
+		t.Fatalf("kept %d + dropped %d != recorded in window %d", len(tr.Events), tr.Dropped, inWindow)
+	}
+	if got := eventIDs(tr); !equalIDs(got, inWindow-7, inWindow) {
+		t.Fatalf("window holds IDs %v, want the newest 8", got)
+	}
+}
+
+// TestStartTraceOneWinner races StartTrace from several goroutines on a
+// fresh recorder: exactly one opens the window.
+func TestStartTraceOneWinner(t *testing.T) {
+	const trials, racers = 2000, 4
+	for trial := 0; trial < trials; trial++ {
+		e := bareRecorder(1, 8)
+		var wins atomic.Int32
+		var ready, done sync.WaitGroup
+		ready.Add(racers)
+		done.Add(racers)
+		gate := make(chan struct{})
+		for r := 0; r < racers; r++ {
+			go func() {
+				defer done.Done()
+				ready.Done()
+				<-gate
+				if e.StartTrace() {
+					wins.Add(1)
+				}
+			}()
+		}
+		ready.Wait()
+		close(gate)
+		done.Wait()
+		if n := wins.Load(); n != 1 {
+			t.Fatalf("trial %d: %d racing StartTrace calls won, want 1", trial, n)
+		}
 	}
 }
 
@@ -147,8 +286,8 @@ func TestFlightDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestFlightRecordZeroAlloc gates the armed record path: one slot write
-// and one atomic publication, no allocation. Runs under the CI alloc-gate
+// TestFlightRecordZeroAlloc gates the armed record path: one clock read,
+// one slot write and a counter bump under the ring mutex, no allocation. Runs under the CI alloc-gate
 // job.
 func TestFlightRecordZeroAlloc(t *testing.T) {
 	e := New(1, WithFlightRecorder(256))

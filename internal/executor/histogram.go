@@ -1,7 +1,7 @@
 package executor
 
 // Per-flow latency histograms: the "how long" leg of the observability
-// stack. metrics.go counts events, trace.go timestamps them; this file
+// stack. metrics.go counts events, flight.go timestamps them; this file
 // aggregates per-task latency distributions continuously, so a serving
 // tier can ask "what is interactive p99 queue-wait right now?" without
 // arming a capture — the TFProf idea (continuous profiling, not capture
@@ -18,7 +18,7 @@ package executor
 // per Flow (plus one default sink for topologies bound to no flow) and,
 // at read time, per PriorityClass.
 //
-// Design rules, mirroring metrics.go and trace.go:
+// Design rules, mirroring metrics.go and flight.go:
 //
 //   - Provably zero cost when disabled. The histogram state exists only
 //     when the executor was built WithLatencyHistograms; internal/core

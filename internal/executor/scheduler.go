@@ -71,7 +71,7 @@ type Scheduler interface {
 	// tolerate Submit returning ErrShutdown.
 	AfterFunc(d time.Duration, fn func()) Timer
 	// TraceExternal records a trace event from outside the worker pool.
-	// No-op unless a capture is active (the simulation ignores it).
+	// No-op unless built WithFlightRecorder (the simulation ignores it).
 	TraceExternal(kind EventKind, meta TaskMeta, arg uint64)
 }
 

@@ -1,43 +1,17 @@
 package executor
 
-// Event-level execution tracing: the recording half of the TFProf-style
-// profiler (the Taskflow follow-up system's timeline view). Where
-// metrics.go answers "how many" (aggregate counters), this file answers
+// Event-level execution tracing: the vocabulary of the TFProf-style
+// timeline (the Taskflow follow-up system's profiler view). Where
+// metrics.go answers "how many" (aggregate counters), events answer
 // "when, where and why": every task span and scheduler lifecycle event —
 // steal, park/unpark, precise vs. probabilistic wake, injection traffic,
 // retry arm/fire, cancellation skips, subflow spawn/join, dependency
-// release — is timestamped into a per-worker ring buffer, and
-// internal/tracing renders the merged stream as a Chrome trace-event JSON
-// timeline (Perfetto).
-//
-// Design rules, mirroring metrics.go:
-//
-//   - Provably zero cost when disabled. Tracing exists only when the
-//     executor was built WithTracing; every instrumentation point is one
-//     nil check on the executor's tracer pointer.
-//
-//   - Lock-free on the hot path when enabled. Each worker owns a
-//     fixed-capacity event ring written only by that worker: a record is
-//     one atomic flag load, one monotonic clock read, one slot write and
-//     one atomic length publication. No mutex, no allocation. Events from
-//     non-worker goroutines (external submissions, retry timers,
-//     cancellation) go to a mutex-guarded overflow ring — a cold path by
-//     construction.
-//
-//   - Bounded. A full ring drops new events (drop-newest) and counts the
-//     drops; capture cost is capped by capacity, never by run length.
-//
-// Start/StopTrace may be called while workers run. Each capture allocates
-// fresh rings and publishes them atomically, so a racing in-flight record
-// lands either in the old capture (lost, at most one event per worker) or
-// the new one — never in a torn ring.
+// release — is timestamped into the flight recorder's per-worker rings
+// (flight.go), and internal/tracing renders a snapshot or a
+// StartTrace/StopTrace window as a Chrome trace-event JSON timeline
+// (Perfetto).
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-	"time"
-)
+import "time"
 
 // EventKind enumerates the traced scheduler and task lifecycle events.
 type EventKind uint8
@@ -143,9 +117,9 @@ func InjectArgShard(arg uint64) int { return int(arg >> injectArgShardShift) }
 // InjectArgCount extracts the task count from a packed injection arg.
 func InjectArgCount(arg uint64) uint64 { return arg & (uint64(1)<<injectArgShardShift - 1) }
 
-// TaskMeta identifies a task for observers and trace events. Producing a
-// TaskMeta copies two string headers and three integers — no allocation —
-// so carrying identity through the hot path is free of garbage.
+// TaskMeta identifies a task in trace events. Producing a TaskMeta
+// copies two string headers and three integers — no allocation — so
+// carrying identity through the hot path is free of garbage.
 type TaskMeta struct {
 	// Flow is the owning taskflow/topology display name ("" if unnamed).
 	Flow string
@@ -182,7 +156,7 @@ func taskMetaOf(r *Runnable) TaskMeta {
 // or ExternalWorker for events from outside the pool (external submissions,
 // retry timers, cancellation).
 type TraceEvent struct {
-	Ts     time.Duration // offset from the capture epoch
+	Ts     time.Duration // offset from Trace.Epoch
 	Worker int32
 	Kind   EventKind
 	Arg    uint64
@@ -192,200 +166,18 @@ type TraceEvent struct {
 // ExternalWorker is the Worker value of events recorded outside the pool.
 const ExternalWorker int32 = -1
 
-// Trace is the result of one capture: the merged, time-ordered event
-// stream of every ring.
+// Trace is a copy of the flight recorder's rings (a snapshot or a
+// StartTrace/StopTrace window): the merged, time-ordered event stream of
+// every ring.
 type Trace struct {
-	// Epoch is the wall-clock instant of StartTrace; event timestamps are
-	// offsets from it.
+	// Epoch is the instant event timestamps are offsets from: the window
+	// start, or the recorder's construction for a snapshot.
 	Epoch time.Time
 	// Events is the merged stream, sorted by Ts.
 	Events []TraceEvent
-	// Dropped counts events lost to full rings (drop-newest policy).
+	// Dropped counts events the rings overwrote (drop-oldest) before
+	// they could be copied out.
 	Dropped uint64
 	// Workers is the executor's worker count at capture time.
 	Workers int
-}
-
-// traceRing is one fixed-capacity event buffer. The writer (its owning
-// worker, or the external mutex holder) writes the slot first and then
-// publishes it with an atomic store of n, so a reader that loads n sees
-// fully written slots — no seqlock needed because slots are never
-// overwritten (drop-newest).
-type traceRing struct {
-	buf     []TraceEvent
-	n       atomic.Int64
-	dropped atomic.Uint64
-}
-
-func (r *traceRing) record(ev TraceEvent) {
-	i := r.n.Load()
-	if i >= int64(len(r.buf)) {
-		r.dropped.Add(1)
-		return
-	}
-	r.buf[i] = ev
-	r.n.Store(i + 1)
-}
-
-// capture is the storage of one Start/StopTrace window. Fresh per capture
-// so a control goroutine never resets storage a worker may be writing.
-type capture struct {
-	epoch time.Time
-	// rings[i] belongs to worker i; rings[len-1] is the external ring,
-	// serialized by extMu.
-	rings []traceRing
-	extMu sync.Mutex
-}
-
-// tracerState exists iff the executor was built WithTracing.
-type tracerState struct {
-	capacity int
-	active   atomic.Bool
-	cur      atomic.Pointer[capture]
-}
-
-// defaultTraceCapacity is the per-ring event budget when WithTracing is
-// given a non-positive capacity: 16K events ≈ 1.3 MiB per worker.
-const defaultTraceCapacity = 1 << 14
-
-// WithTracing enables event-level tracing with the given per-worker ring
-// capacity (<= 0 selects the default). Tracing is armed but idle until
-// StartTrace; the idle cost per instrumentation point is one atomic flag
-// load, and executors built without this option pay only a nil check.
-func WithTracing(capacity int) Option {
-	if capacity <= 0 {
-		capacity = defaultTraceCapacity
-	}
-	return func(e *Executor) { e.tracer = &tracerState{capacity: capacity} }
-}
-
-// TracingEnabled reports whether the executor was built WithTracing.
-func (e *Executor) TracingEnabled() bool { return e.tracer != nil }
-
-// TraceActive reports whether a capture is currently recording.
-func (e *Executor) TraceActive() bool {
-	t := e.tracer
-	return t != nil && t.active.Load()
-}
-
-// StartTrace begins a capture: fresh rings, epoch now. It returns false
-// when the executor was built without WithTracing or a capture is already
-// active. Safe to call while workers run.
-func (e *Executor) StartTrace() bool {
-	t := e.tracer
-	if t == nil || t.active.Load() {
-		return false
-	}
-	c := &capture{
-		epoch: time.Now(),
-		rings: make([]traceRing, len(e.workers)+1),
-	}
-	for i := range c.rings {
-		c.rings[i].buf = make([]TraceEvent, t.capacity)
-	}
-	t.cur.Store(c)
-	t.active.Store(true)
-	return true
-}
-
-// StopTrace ends the capture and returns the merged, time-ordered event
-// stream. ok is false when tracing was not built in or no capture was
-// started. Records racing with StopTrace may lose at most one event per
-// worker; events already published are never torn.
-func (e *Executor) StopTrace() (Trace, bool) {
-	t := e.tracer
-	if t == nil {
-		return Trace{}, false
-	}
-	t.active.Store(false)
-	c := t.cur.Load()
-	if c == nil {
-		return Trace{}, false
-	}
-	tr := Trace{Epoch: c.epoch, Workers: len(e.workers)}
-	for i := range c.rings {
-		r := &c.rings[i]
-		n := r.n.Load()
-		tr.Events = append(tr.Events, r.buf[:n]...)
-		tr.Dropped += r.dropped.Load()
-	}
-	sort.SliceStable(tr.Events, func(i, j int) bool {
-		return tr.Events[i].Ts < tr.Events[j].Ts
-	})
-	return tr, true
-}
-
-// record appends one event to the worker's ring (ExternalWorker goes to
-// the mutex-guarded external ring). Callers must have checked TraceActive;
-// record re-reads the capture pointer so a concurrent Stop/Start at worst
-// misroutes one event into an orphaned ring.
-func (t *tracerState) record(worker int32, kind EventKind, meta TaskMeta, arg uint64) {
-	c := t.cur.Load()
-	if c == nil {
-		return
-	}
-	ev := TraceEvent{
-		Ts:     time.Since(c.epoch),
-		Worker: worker,
-		Kind:   kind,
-		Arg:    arg,
-		Meta:   meta,
-	}
-	if worker >= 0 && int(worker) < len(c.rings)-1 {
-		c.rings[worker].record(ev)
-		return
-	}
-	ev.Worker = ExternalWorker
-	c.extMu.Lock()
-	c.rings[len(c.rings)-1].record(ev)
-	c.extMu.Unlock()
-}
-
-// TraceExternal records an event from outside the worker pool (retry
-// timers, cancellation, submission goroutines). It feeds both recorders:
-// the capture tracer when one is active, and the flight recorder
-// (flight.go) whenever it is armed.
-func (e *Executor) TraceExternal(kind EventKind, meta TaskMeta, arg uint64) {
-	if t := e.tracer; t != nil && t.active.Load() {
-		t.record(ExternalWorker, kind, meta, arg)
-	}
-	if f := e.flight; f != nil {
-		f.record(ExternalWorker, kind, meta, arg)
-	}
-}
-
-// Tracing implements Context: it reports whether any recorder wants
-// events — a capture is active, or the flight recorder is armed (it
-// always is, when built in). This is the cheap guard tasks use before
-// building a TaskMeta for Trace.
-func (w *worker) Tracing() bool {
-	if w.exec.flight != nil {
-		return true
-	}
-	t := w.exec.tracer
-	return t != nil && t.active.Load()
-}
-
-// Trace implements Context: record an event attributed to this worker
-// into every recorder that wants it.
-func (w *worker) Trace(kind EventKind, meta TaskMeta, arg uint64) {
-	e := w.exec
-	if t := e.tracer; t != nil && t.active.Load() {
-		t.record(int32(w.id), kind, meta, arg)
-	}
-	if f := e.flight; f != nil {
-		f.record(int32(w.id), kind, meta, arg)
-	}
-}
-
-// traceEvent is the executor-internal emission helper for events with no
-// task identity (scheduler lifecycle).
-func (w *worker) traceEvent(kind EventKind, arg uint64) {
-	e := w.exec
-	if t := e.tracer; t != nil && t.active.Load() {
-		t.record(int32(w.id), kind, TaskMeta{}, arg)
-	}
-	if f := e.flight; f != nil {
-		f.record(int32(w.id), kind, TaskMeta{}, arg)
-	}
 }

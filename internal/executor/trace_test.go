@@ -26,14 +26,14 @@ func (d *describedTask) Describe() TaskMeta { return d.meta }
 func TestTraceDisabledWithoutOption(t *testing.T) {
 	e := New(2)
 	defer e.Shutdown()
-	if e.TracingEnabled() {
-		t.Fatal("TracingEnabled without WithTracing")
-	}
 	if e.StartTrace() {
-		t.Fatal("StartTrace succeeded without WithTracing")
+		t.Fatal("StartTrace succeeded without WithFlightRecorder")
+	}
+	if e.TraceActive() {
+		t.Fatal("TraceActive without WithFlightRecorder")
 	}
 	if _, ok := e.StopTrace(); ok {
-		t.Fatal("StopTrace succeeded without WithTracing")
+		t.Fatal("StopTrace succeeded without WithFlightRecorder")
 	}
 	// Instrumentation points must be inert.
 	var n atomic.Int64
@@ -42,11 +42,8 @@ func TestTraceDisabledWithoutOption(t *testing.T) {
 }
 
 func TestTraceCaptureLifecycle(t *testing.T) {
-	e := New(2, WithTracing(1024))
+	e := New(2, WithFlightRecorder(1024))
 	defer e.Shutdown()
-	if !e.TracingEnabled() {
-		t.Fatal("TracingEnabled false despite WithTracing")
-	}
 	if e.TraceActive() {
 		t.Fatal("capture active before StartTrace")
 	}
@@ -75,6 +72,9 @@ func TestTraceCaptureLifecycle(t *testing.T) {
 	}
 	if e.TraceActive() {
 		t.Fatal("capture still active after StopTrace")
+	}
+	if _, ok := e.StopTrace(); ok {
+		t.Fatal("second StopTrace re-read a closed window")
 	}
 	if tr.Workers != 2 {
 		t.Fatalf("Workers = %d, want 2", tr.Workers)
@@ -115,35 +115,10 @@ func TestTraceCaptureLifecycle(t *testing.T) {
 	}
 }
 
-func TestTraceRingDropNewest(t *testing.T) {
-	// Capacity 1 per ring: almost every event beyond the first per ring is
-	// dropped, and the drops are counted rather than overwriting.
-	e := New(2, WithTracing(1))
-	defer e.Shutdown()
-	if !e.StartTrace() {
-		t.Fatal("StartTrace failed")
-	}
-	var n atomic.Int64
-	for i := 0; i < 100; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
-	}
-	waitCounter(t, &n, 100)
-	tr, ok := e.StopTrace()
-	if !ok {
-		t.Fatal("StopTrace failed")
-	}
-	if len(tr.Events) > 3 { // one slot per worker ring + one external
-		t.Fatalf("%d events recorded with capacity-1 rings", len(tr.Events))
-	}
-	if tr.Dropped == 0 {
-		t.Fatal("no drops counted despite overflowing capacity-1 rings")
-	}
-}
-
 func TestTraceSchedulerEvents(t *testing.T) {
 	// Submitting from outside onto an idle pool structurally guarantees
 	// inject-push, precise-wake, inject-drain and unpark events.
-	e := New(2, WithTracing(4096))
+	e := New(2, WithFlightRecorder(4096))
 	defer e.Shutdown()
 
 	// Let the workers park first.
@@ -181,68 +156,5 @@ func TestEventKindStrings(t *testing.T) {
 	}
 	if numEventKinds.String() != "unknown" {
 		t.Fatal("out-of-range EventKind should stringify as unknown")
-	}
-}
-
-// panickingObserver blows up in its hooks; the executor must contain it.
-type panickingObserver struct {
-	starts atomic.Int64
-	ends   atomic.Int64
-}
-
-func (o *panickingObserver) OnTaskStart(int, TaskMeta) {
-	o.starts.Add(1)
-	panic("observer start boom")
-}
-
-func (o *panickingObserver) OnTaskEnd(int, TaskMeta) {
-	o.ends.Add(1)
-	panic("observer end boom")
-}
-
-func TestObserverPanicContained(t *testing.T) {
-	obs := &panickingObserver{}
-	e := New(2, WithObserver(obs))
-	defer e.Shutdown()
-
-	var n atomic.Int64
-	for i := 0; i < 10; i++ {
-		e.SubmitFunc(func(Context) { n.Add(1) })
-	}
-	// Every task still runs: the panics must not kill workers or skip
-	// task bodies.
-	waitCounter(t, &n, 10)
-	waitCounter(t, &obs.ends, 10)
-	if obs.starts.Load() != 10 {
-		t.Fatalf("observer starts = %d, want 10", obs.starts.Load())
-	}
-
-	err := e.PanicError()
-	if err == nil {
-		t.Fatal("observer panics not recorded in PanicError")
-	}
-	if !strings.Contains(err.Error(), "observer start boom") ||
-		!strings.Contains(err.Error(), "observer end boom") {
-		t.Fatalf("PanicError missing observer panics: %v", err)
-	}
-}
-
-func TestObserverPanicRoutedToHandler(t *testing.T) {
-	var handled atomic.Int64
-	obs := &panickingObserver{}
-	e := New(1,
-		WithObserver(obs),
-		WithPanicHandler(func(worker int, rec any) { handled.Add(1) }),
-	)
-	defer e.Shutdown()
-	var n atomic.Int64
-	e.SubmitFunc(func(Context) { n.Add(1) })
-	waitCounter(t, &n, 1)
-	waitCounter(t, &obs.ends, 1)
-	if handled.Load() < 2 { // start hook + end hook
-		t.Fatalf("panic handler saw %d observer panics, want 2", handled.Load())
-	}
-	if err := e.PanicError(); err != nil {
-		t.Fatalf("handler-routed panics also recorded: %v", err)
 	}
 }

@@ -41,10 +41,10 @@
 // latency — generation at the head to completion of the last pipe — is
 // recorded through the LatencySink seam (exec and end-to-end series;
 // queue-wait is reported as zero, since generation is the token's birth).
-// Under executor.WithTracing, cells identify themselves (flow = the
-// pipeline's name, task = pipe, Idx = line), and tracing.WriteLineTrace
-// renders the capture with one Perfetto track per line so per-line
-// occupancy is visible directly.
+// Under executor.WithFlightRecorder, cells identify themselves (flow =
+// the pipeline's name, task = pipe, Idx = line), and
+// tracing.WriteLineTrace renders a trace window with one Perfetto track
+// per line so per-line occupancy is visible directly.
 package pipeline
 
 import (

@@ -31,7 +31,7 @@ import (
 	"gotaskflow/internal/sta"
 )
 
-// flowName names a timing update in traces, observers and dumps.
+// flowName names a timing update in traces and dumps.
 const flowName = "timing_update"
 
 // taskID assigns trace identities to gate tasks across all analyzers.
@@ -51,8 +51,8 @@ type gateTask struct {
 // Run implements executor.Runnable.
 func (t *gateTask) Run(ctx executor.Context) { t.p.run(ctx, t) }
 
-// Describe implements executor.Described, so traces and observers of Run
-// name every gate. Backward tasks carry the gate's name primed, indexed
+// Describe implements executor.Described, so traces of Run name every
+// gate. Backward tasks carry the gate's name primed, indexed
 // after the forward ones.
 func (t *gateTask) Describe() executor.TaskMeta {
 	m := executor.TaskMeta{Flow: flowName, Name: t.name(), ID: t.id, Idx: t.v, Gen: t.p.a.gen.Load()}

@@ -358,40 +358,38 @@ func TestSharedExecutorConcurrentClients(t *testing.T) {
 	}
 }
 
-type nameRecorder struct {
-	mu    sync.Mutex
-	names map[string]bool
-}
-
-func (r *nameRecorder) OnTaskStart(_ int, m executor.TaskMeta) {
-	r.mu.Lock()
-	r.names[m.Flow+"/"+m.Name] = true
-	r.mu.Unlock()
-}
-
-func (r *nameRecorder) OnTaskEnd(int, executor.TaskMeta) {}
-
-// TestRunNamesEveryGate checks that observers of Run see every gate task
-// by name: forward tasks as the gate, backward tasks primed.
+// TestRunNamesEveryGate checks that a trace of Run names every gate
+// task: forward tasks as the gate, backward tasks primed.
 func TestRunNamesEveryGate(t *testing.T) {
 	ckt := circuit.Figure8()
 	tm := sta.New(ckt, clock)
-	rec := &nameRecorder{names: map[string]bool{}}
-	a := NewShared(tm, executor.New(2, executor.WithObserver(rec)))
+	e := executor.New(2, executor.WithFlightRecorder(1<<12))
+	a := NewShared(tm, e)
 	defer a.Close()
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
 	if err := a.Run(tm.FullUpdate()); err != nil {
 		t.Fatal(err)
 	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
+	tr, _ := e.StopTrace()
+	if tr.Dropped != 0 {
+		t.Fatalf("trace dropped %d events", tr.Dropped)
+	}
+	names := map[string]bool{}
+	for _, ev := range tr.Events {
+		if ev.Kind == executor.EvTaskStart {
+			names[ev.Meta.Flow+"/"+ev.Meta.Name] = true
+		}
+	}
 	for _, g := range ckt.Gates {
 		for _, name := range []string{g.Name, g.Name + "'"} {
-			if !rec.names["timing_update/"+name] {
-				t.Fatalf("no observed task named %q; saw %v", name, rec.names)
+			if !names["timing_update/"+name] {
+				t.Fatalf("no traced task named %q; saw %v", name, names)
 			}
 		}
 	}
-	if len(rec.names) != 2*ckt.NumGates() {
-		t.Fatalf("observed %d task names, want %d", len(rec.names), 2*ckt.NumGates())
+	if len(names) != 2*ckt.NumGates() {
+		t.Fatalf("traced %d task names, want %d", len(names), 2*ckt.NumGates())
 	}
 }

@@ -17,7 +17,7 @@ type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
-	Ts   float64        `json:"ts"` // microseconds since capture epoch
+	Ts   float64        `json:"ts"` // microseconds since Trace.Epoch
 	Dur  float64        `json:"dur,omitempty"`
 	Pid  int            `json:"pid"`
 	Tid  int            `json:"tid"`
@@ -92,7 +92,8 @@ func WriteTrace(w io.Writer, tr executor.Trace) error {
 	// Pair starts with ends per worker. A worker executes one task at a
 	// time and its ring preserves program order, so the next EvTaskEnd on
 	// a worker closes that worker's open EvTaskStart. Unclosed starts
-	// (capture stopped mid-task) are dropped.
+	// (window closed mid-task) and unopened ends (window opened mid-task,
+	// or the ring overwrote the start) are dropped.
 	open := map[int32]executor.TraceEvent{}
 	var spans []span
 	spansByID := map[uint64][]int{} // task ID -> indices into spans

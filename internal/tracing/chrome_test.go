@@ -113,7 +113,7 @@ func exportForRun(t *testing.T, e *executor.Executor, fn func()) traceDoc {
 // that follow real dependency edges of the grid.
 func TestWavefrontTraceChromeExport(t *testing.T) {
 	const G = 4
-	e := executor.New(4, executor.WithTracing(1<<14))
+	e := executor.New(4, executor.WithFlightRecorder(1<<14))
 	defer e.Shutdown()
 	tf := core.NewShared(e).SetName("wavefront")
 

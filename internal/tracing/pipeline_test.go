@@ -98,7 +98,7 @@ func TestLineOccupancy(t *testing.T) {
 // trace whose span count matches tokens × pipes and whose every line has
 // nonzero occupancy.
 func TestLineTraceEndToEnd(t *testing.T) {
-	e := executor.New(2, executor.WithTracing(0))
+	e := executor.New(2, executor.WithFlightRecorder(1<<14))
 	defer e.Shutdown()
 	const n, lines = 32, 4
 	p := pipeline.New(e, lines,

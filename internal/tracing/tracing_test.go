@@ -1,10 +1,6 @@
 package tracing
 
 import (
-	"encoding/json"
-	"io"
-	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,232 +9,78 @@ import (
 	"gotaskflow/internal/executor"
 )
 
-func runTasks(t *testing.T, p *Profiler, n int) {
+// traceSleepers runs n tasks that each sleep 100µs inside a trace window
+// on a two-worker flight-recorded executor and returns the export.
+func traceSleepers(t *testing.T, n int) traceDoc {
 	t.Helper()
-	e := executor.New(2, executor.WithObserver(p))
+	e := executor.New(2, executor.WithFlightRecorder(1<<12))
 	defer e.Shutdown()
-	tf := core.NewShared(e)
 	var count atomic.Int64
-	for i := 0; i < n; i++ {
-		tf.Emplace1(func() {
-			count.Add(1)
-			time.Sleep(100 * time.Microsecond)
-		})
-	}
-	if err := tf.WaitForAll(); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != int64(n) {
-		t.Fatalf("ran %d tasks", count.Load())
-	}
-}
-
-func TestProfilerRecordsAllTasks(t *testing.T) {
-	p := NewProfiler()
-	runTasks(t, p, 50)
-	if got := p.NumEvents(); got != 50 {
-		t.Fatalf("recorded %d events, want 50", got)
-	}
-	for _, e := range p.Events() {
-		if e.End < e.Start {
-			t.Fatal("event ends before it starts")
-		}
-		if e.Worker < 0 || e.Worker >= 2 {
-			t.Fatalf("bad worker id %d", e.Worker)
-		}
-		if e.End-e.Start < 50*time.Microsecond {
-			t.Fatalf("span %v too short for a 100µs task", e.End-e.Start)
-		}
-	}
-}
-
-func TestChromeTraceFormat(t *testing.T) {
-	p := NewProfiler()
-	runTasks(t, p, 10)
-	var sb strings.Builder
-	if err := p.WriteChromeTrace(&sb); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal([]byte(sb.String()), &events); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	if len(events) != 10 {
-		t.Fatalf("trace has %d events, want 10", len(events))
-	}
-	for _, ev := range events {
-		if ev["ph"] != "X" || ev["cat"] != "task" {
-			t.Fatalf("malformed event: %v", ev)
-		}
-		if ev["dur"].(float64) <= 0 {
-			t.Fatal("non-positive duration")
-		}
-	}
-}
-
-func TestTotalBusyAndReset(t *testing.T) {
-	p := NewProfiler()
-	runTasks(t, p, 20)
-	totals := p.TotalBusy()
-	var sum time.Duration
-	for _, d := range totals {
-		sum += d
-	}
-	if sum < 20*50*time.Microsecond {
-		t.Fatalf("total busy %v implausibly small", sum)
-	}
-	p.Reset()
-	if p.NumEvents() != 0 {
-		t.Fatal("Reset did not clear events")
-	}
-}
-
-func TestEventsReturnsCopy(t *testing.T) {
-	p := NewProfiler()
-	runTasks(t, p, 5)
-	evs := p.Events()
-	evs[0].Worker = 99
-	if p.Events()[0].Worker == 99 {
-		t.Fatal("Events exposes internal storage")
-	}
-}
-
-// TestProfilerRegisterAndReadWhileRunning pins the concurrency contract:
-// a Profiler added to a RUNNING executor via AddObserver records balanced
-// spans, and snapshot reads (NumEvents, Events, TotalBusy, Chrome export)
-// may race with execution without tearing. Run under -race in CI.
-func TestProfilerRegisterAndReadWhileRunning(t *testing.T) {
-	e := executor.New(4)
-	defer e.Shutdown()
-
-	// Keep a steady stream of tasks flowing while we register and read,
-	// pausing once the profiler has recorded plenty: an unthrottled feeder
-	// grows the event list without bound while every reader iteration
-	// copies it, which livelocks the race-instrumented single-CPU CI runs.
-	const maxRecorded = 10_000
-	p := NewProfiler()
-	stop := make(chan struct{})
-	var feeders sync.WaitGroup
-	feeders.Add(1)
-	var submitted atomic.Int64
-	go func() {
-		defer feeders.Done()
-		var inflight sync.WaitGroup
-		for {
-			select {
-			case <-stop:
-				inflight.Wait()
-				return
-			default:
-			}
-			if p.NumEvents() >= maxRecorded {
+	doc := exportForRun(t, e, func() {
+		tf := core.NewShared(e)
+		for i := 0; i < n; i++ {
+			tf.Emplace1(func() {
+				count.Add(1)
 				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			inflight.Add(1)
-			submitted.Add(1)
-			if err := e.SubmitFunc(func(executor.Context) {
-				inflight.Done()
-			}); err != nil {
-				inflight.Done()
-				return
-			}
+			})
 		}
-	}()
-
-	e.AddObserver(p) // mid-run registration
-
-	// Concurrent snapshot readers.
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for i := 0; i < 200; i++ {
-				n := p.NumEvents()
-				evs := p.Events()
-				if len(evs) < n-1 && len(evs) > n+1 {
-					t.Error("Events/NumEvents wildly inconsistent")
-				}
-				for _, ev := range evs {
-					if ev.End < ev.Start {
-						t.Errorf("torn span: end %v before start %v", ev.End, ev.Start)
-					}
-				}
-				_ = p.TotalBusy()
-				if err := p.WriteChromeTrace(io.Discard); err != nil {
-					t.Errorf("WriteChromeTrace: %v", err)
-				}
-			}
-		}()
-	}
-	readers.Wait()
-	// Under GOMAXPROCS=1 the readers can starve the feeder for their whole
-	// run, leaving every executed task ahead of the mid-run registration.
-	// Keep the stream alive until the profiler has provably observed one
-	// post-registration task, so the final assertions hold on any schedule.
-	for p.NumEvents() == 0 {
-		time.Sleep(100 * time.Microsecond)
-	}
-	close(stop)
-	feeders.Wait()
-	e.Shutdown()
-
-	// Every span the profiler saw is balanced and sane; it saw a subset of
-	// the stream (registration happened mid-run).
-	evs := p.Events()
-	if len(evs) == 0 {
-		t.Fatal("mid-run registration recorded no spans")
-	}
-	if int64(len(evs)) > submitted.Load() {
-		t.Fatalf("recorded %d spans for %d submissions", len(evs), submitted.Load())
-	}
-	for _, ev := range evs {
-		if ev.End < ev.Start || ev.Worker < 0 || ev.Worker >= 4 {
-			t.Fatalf("bad span: %+v", ev)
+		if err := tf.WaitForAll(); err != nil {
+			t.Fatal(err)
 		}
+	})
+	if got := count.Load(); got != int64(n) {
+		t.Fatalf("ran %d tasks, want %d", got, n)
+	}
+	return doc
+}
+
+// TestProfilerRecordsAllTasks checks the trace window profiles every task:
+// one span per task, on a valid worker thread, no shorter than the task's
+// sleep.
+func TestProfilerRecordsAllTasks(t *testing.T) {
+	const n = 50
+	doc := traceSleepers(t, n)
+	spans := 0
+	for _, ev := range doc.TraceEvents {
+		if ev["ph"] != "X" {
+			continue
+		}
+		spans++
+		if tid := ev["tid"].(float64); tid < 0 || tid >= 2 {
+			t.Fatalf("span on thread %v, want a worker in [0, 2)", tid)
+		}
+		if dur := ev["dur"].(float64); dur < 50 {
+			t.Fatalf("span of %vµs too short for a 100µs task", dur)
+		}
+	}
+	if spans != n {
+		t.Fatalf("recorded %d spans, want %d", spans, n)
 	}
 }
 
-// TestProfilerResetDropsStraddlingStart is the regression test for the
-// Reset race: OnTaskStart reads the clock before taking the lock, so a
-// Reset can land in between — the stale open used to repopulate the map
-// after Reset and pair with a later OnTaskEnd, leaking a span that
-// straddles the epoch bump. Reset now records a floor timestamp and
-// strictly-older opens are discarded. The timestamp-injected seams
-// (startAt/endAt) reproduce the interleaving deterministically.
-func TestProfilerResetDropsStraddlingStart(t *testing.T) {
-	p := NewProfiler()
-	meta := executor.TaskMeta{Name: "stale"}
-
-	// The racing OnTaskStart read the clock at 1ms...
-	staleNow := time.Millisecond
-	// ...then Reset ran (its floor must exceed the stale timestamp)...
-	time.Sleep(2 * time.Millisecond)
-	p.Reset()
-	// ...and only then did the start body take the lock.
-	p.startAt(0, meta, staleNow)
-	p.endAt(0, time.Since(time.Time{})) // any post-Reset end timestamp
-
-	if got := p.NumEvents(); got != 0 {
-		t.Fatalf("stale start leaked %d spans across Reset", got)
+// TestChromeTraceFormat checks the export of a trace window holds exactly
+// one well-formed "X" span per task: category "task", a positive duration
+// and a timestamp.
+func TestChromeTraceFormat(t *testing.T) {
+	const n = 10
+	doc := traceSleepers(t, n)
+	spans := 0
+	for _, ev := range doc.TraceEvents {
+		if ev["ph"] != "X" {
+			continue
+		}
+		spans++
+		if ev["cat"] != "task" {
+			t.Fatalf("span with category %v: %v", ev["cat"], ev)
+		}
+		if dur, ok := ev["dur"].(float64); !ok || dur <= 0 {
+			t.Fatalf("span without a positive duration: %v", ev)
+		}
+		if _, ok := ev["ts"].(float64); !ok {
+			t.Fatalf("span without a timestamp: %v", ev)
+		}
 	}
-
-	// A span opened before Reset and closed after is dropped too.
-	p.OnTaskStart(1, meta)
-	p.Reset()
-	p.OnTaskEnd(1, meta)
-	if got := p.NumEvents(); got != 0 {
-		t.Fatalf("open-across-Reset span leaked: %d events", got)
-	}
-
-	// The new epoch records normally.
-	p.OnTaskStart(2, executor.TaskMeta{Name: "fresh"})
-	p.OnTaskEnd(2, executor.TaskMeta{})
-	if got := p.NumEvents(); got != 1 {
-		t.Fatalf("post-Reset span not recorded: %d events", got)
-	}
-	if ev := p.Events()[0]; ev.Name != "fresh" {
-		t.Fatalf("post-Reset span name = %q, want fresh", ev.Name)
+	if spans != n {
+		t.Fatalf("trace has %d spans, want %d", spans, n)
 	}
 }

@@ -71,44 +71,6 @@ func BenchmarkSchedLinearChainMetricsOn(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedLinearChainTracingOn is BenchmarkSchedLinearChain with an
-// active event-trace capture (WithTracing + StartTrace): every task span
-// and scheduler lifecycle event is recorded into the per-worker rings
-// while the chain re-runs. It is the tracing enabled-path gate: -benchmem
-// must report <= 2 allocs/op (in practice 0 — ring slots are written in
-// place), and the ns/op delta against the plain benchmark is the whole
-// cost of recording. Ring overflow just drops (and counts) events, so
-// long benchmark runs stay bounded.
-func BenchmarkSchedLinearChainTracingOn(b *testing.B) {
-	e := executor.New(workers(), executor.WithTracing(1<<16))
-	defer e.Shutdown()
-	tf := core.NewShared(e)
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	if !e.StartTrace() {
-		b.Fatal("StartTrace failed")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	if tr, ok := e.StopTrace(); !ok || len(tr.Events) == 0 {
-		b.Fatal("no trace events were recorded during the benchmark")
-	}
-}
-
 // BenchmarkSchedLinearChainHistogramsOn is BenchmarkSchedLinearChain with
 // per-flow latency histograms armed (WithLatencyHistograms): every task
 // execution stamps a ready time in core, reads the clock twice and records
@@ -146,12 +108,13 @@ func BenchmarkSchedLinearChainHistogramsOn(b *testing.B) {
 }
 
 // BenchmarkSchedLinearChainFlightOn is BenchmarkSchedLinearChain with the
-// always-armed flight recorder (WithFlightRecorder): every task span and
-// scheduler lifecycle event is continuously written into the per-worker
-// wrap-around rings, oldest events overwritten in place. It is the flight
-// enabled-path allocation gate: -benchmem must report 0 allocs/op — ring
-// slots are rewritten, never grown — and the ns/op delta against the plain
-// benchmark is the steady-state cost of the black box.
+// always-armed flight recorder (WithFlightRecorder) and a trace window
+// open across the timed loop: every task span and scheduler lifecycle
+// event is continuously written into the per-worker wrap-around rings,
+// oldest events overwritten in place. It is the recording enabled-path
+// allocation gate: -benchmem must report 0 allocs/op — ring slots are
+// rewritten, never grown, and an open window is only a mark — and the
+// ns/op delta against the plain benchmark is the whole cost of recording.
 func BenchmarkSchedLinearChainFlightOn(b *testing.B) {
 	e := executor.New(workers(), executor.WithFlightRecorder(1<<12))
 	defer e.Shutdown()
@@ -166,6 +129,9 @@ func BenchmarkSchedLinearChainFlightOn(b *testing.B) {
 	if err := tf.Run(); err != nil {
 		b.Fatal(err)
 	}
+	if !e.StartTrace() {
+		b.Fatal("StartTrace failed")
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -174,8 +140,8 @@ func BenchmarkSchedLinearChainFlightOn(b *testing.B) {
 		}
 	}
 	b.StopTimer()
-	if tr, ok := e.FlightSnapshot(); !ok || len(tr.Events) == 0 {
-		b.Fatal("no flight events were recorded during the benchmark")
+	if tr, ok := e.StopTrace(); !ok || len(tr.Events) == 0 {
+		b.Fatal("no trace events were recorded during the benchmark")
 	}
 }
 
