@@ -132,7 +132,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 	for _, n := range tf.runSemSources {
 		if t.admit(t.sub, n) {
 			if err := t.submitOne(n.ref()); err != nil {
-				t.setErr(err)
+				t.addErr(err)
 				if t.pending.Add(-1) == 0 {
 					t.finish()
 				}
@@ -143,7 +143,7 @@ func (tf *Taskflow) run(ctx context.Context) error {
 		// The executor was already shut down: the batch was rejected
 		// whole. Undo its pending charge so the run completes with the
 		// error instead of hanging.
-		t.setErr(err)
+		t.addErr(err)
 		if t.pending.Add(-int64(len(tf.runSources))) == 0 {
 			t.finish()
 		}
@@ -180,12 +180,10 @@ func (tf *Taskflow) prepareRun() (*topology, error) {
 		t.flowReserved = g.len()
 		t.sub = flowSubmitter{f}
 	}
-	if lp, ok := tf.exec.(executor.LatencyProvider); ok {
-		t.lat = lp.LatencySink(tf.flow)
-	}
 	if tf.statsEnabled {
 		t.stats = &topoStats{timing: tf.statsTiming}
 	}
+	t.observe(tf.flow)
 	tf.runSources = tf.runSources[:0]
 	tf.runSemSources = tf.runSemSources[:0]
 	for _, n := range g.nodes {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"time"
 
 	"gotaskflow/internal/executor"
 )
@@ -260,14 +259,14 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		}
 	}
 	if numSources == 0 {
-		t.setErr(ErrNoSource)
+		t.addErr(ErrNoSource)
 		close(t.done)
 		return t
 	}
 	// A strong cycle behind the sources would never drain; refuse it with
 	// a descriptive error instead of deadlocking the waiters.
 	if err := findCycleError(g); err != nil {
-		t.setErr(err)
+		t.addErr(err)
 		close(t.done)
 		return t
 	}
@@ -277,7 +276,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 	// done closes here) has nothing to release.
 	if f := tf.flow; f != nil {
 		if err := f.Admit(g.len()); err != nil {
-			t.setErr(err)
+			t.addErr(err)
 			close(t.done)
 			return t
 		}
@@ -285,9 +284,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		t.flowReserved = g.len()
 		t.sub = flowSubmitter{f}
 	}
-	if lp, ok := tf.exec.(executor.LatencyProvider); ok {
-		t.lat = lp.LatencySink(tf.flow)
-	}
+	t.observe(tf.flow)
 	if ctx != nil || hasCtx {
 		t.ensureCtx(ctx)
 	}
@@ -296,7 +293,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		go func() { <-t.done; stop() }()
 	}
 	if st := t.stats; st != nil {
-		st.start = time.Now() // dispatched nodes are fresh; no counter reset needed
+		st.start = executor.Nanotime() // dispatched nodes are fresh; no counter reset needed
 	}
 	// pending counts outstanding executions; sources are pre-counted
 	// before submission so no execution can retire against a zero count.
@@ -325,7 +322,7 @@ func (tf *Taskflow) dispatch(ctx context.Context) *topology {
 		// the batch's pending charge so the topology can complete and
 		// waiters observe the error instead of hanging (finish also
 		// returns the flow reservation, exactly once).
-		t.setErr(err)
+		t.addErr(err)
 		if t.pending.Add(-int64(len(runnable))) == 0 {
 			t.finish()
 		}

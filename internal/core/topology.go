@@ -87,8 +87,10 @@ type topology struct {
 
 	// lat is the executor's latency histogram sink for this topology's
 	// flow, non-nil only when the scheduler implements
-	// executor.LatencyProvider with histograms enabled (see latency.go).
-	lat executor.LatencySink
+	// executor.LatencyProvider with histograms enabled; timed reports
+	// whether task bodies are clocked at all (see latency.go, observe).
+	lat   executor.LatencySink
+	timed bool
 }
 
 // finish signals quiescence: close for one-shot (dispatched) topologies,
@@ -98,7 +100,7 @@ func (t *topology) finish() {
 	if st := t.stats; st != nil {
 		// Written by the single finishing worker; waiters read it after the
 		// done signal below, which provides the happens-before edge.
-		st.wall = time.Since(st.start)
+		st.wall = time.Duration(executor.Nanotime() - st.start)
 	}
 	t.cancelDerivedCtx()
 	if f := t.flow; f != nil && t.flowReserved > 0 {
@@ -172,10 +174,6 @@ func (t *topology) addErr(err error) {
 	t.errs = append(t.errs, err)
 	t.errMu.Unlock()
 }
-
-// setErr is addErr under its historical name for the dispatch-time
-// structural errors (no source, cycle).
-func (t *topology) setErr(err error) { t.addErr(err) }
 
 // joinedErr aggregates the captured failures: nil, the sole error, or
 // errors.Join of all of them.
@@ -265,28 +263,6 @@ func (t *topology) cancelDerivedCtx() {
 	}
 }
 
-// schedule accounts for and submits one new execution of node s from
-// within a running execution. The join counter is re-armed so the node can
-// run again on a later loop iteration.
-func (t *topology) schedule(ctx executor.Context, s *node, cached bool) {
-	s.join.Store(int32(s.numDependents))
-	if s.parent != nil {
-		s.parent.children.Add(1)
-	}
-	t.pending.Add(1)
-	if t.lat != nil {
-		s.readyAtNs = executor.Nanotime()
-	}
-	if s.hasAcquires() && !t.admit(ctx, s) {
-		return // parked on a semaphore; a release will submit it
-	}
-	if cached {
-		ctx.SubmitCached(s.ref())
-	} else {
-		ctx.Submit(s.ref())
-	}
-}
-
 // runNode executes one node: invoke its work, spawn its subflow if it is a
 // dynamic task, signal the selected branch if it is a condition task, then
 // (unless deferred by a joined subflow) complete it.
@@ -317,29 +293,22 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		st.tasks.Add(1)
 		n.execCount.Add(1)
 	}
-	var lstart int64
-	if t.lat != nil {
-		lstart = executor.Nanotime()
+	var start int64 // the body's start boundary; 0 leaves it unclocked
+	if t.timed {
+		start = ctx.Stamp(false)
 	}
 	switch {
 	case n.condWork != nil:
 		idx := -1
 		t.invoke(n, func() { idx = n.condWork() })
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
-		}
+		t.bodyDone(ctx, n, start, true)
 		t.releaseSems(ctx, n)
-		// Signal exactly the chosen successor; an out-of-range index
+		// Signal exactly the chosen successor, released like a strong
+		// successor whose join counter hit zero; an out-of-range index
 		// (including the -1 left by a panic) signals nothing, which is
 		// how a branch terminates.
 		if idx >= 0 && idx < n.succCount {
-			s := n.successor(idx)
-			if ctx.Tracing() {
-				// A taken condition branch releases its target exactly
-				// like a final join-decrement releases a strong successor.
-				ctx.Trace(executor.EvDepRelease, n.Describe(), s.traceID)
-			}
-			t.schedule(ctx, s, true)
+			t.release(ctx, n, n.successor(idx), false, 0)
 		}
 		t.retire(ctx, n)
 		return
@@ -348,9 +317,7 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 		sf.g = &graph{}
 		n.extra().subgraph = sf.g
 		t.invoke(n, func() { n.subflowWork(sf) })
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
-		}
+		t.bodyDone(ctx, n, start, true)
 		t.releaseSems(ctx, n)
 		if sf.g.len() > 0 && ctx.Tracing() {
 			ctx.Trace(executor.EvSubflowSpawn, n.Describe(), uint64(sf.g.len()))
@@ -371,24 +338,15 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 			}
 		}
 	case n.isFallible():
-		if !t.runFallible(ctx, n) {
+		if !t.runFallible(ctx, n, start) {
 			return // retry scheduled; the execution is still outstanding
-		}
-		// Resolved (success or final failure): the end-to-end timing spans
-		// from the last (re)submission, not the first — see latency.go.
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
 		}
 	case n.work != nil:
 		t.invoke(n, n.work)
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
-		}
+		t.bodyDone(ctx, n, start, true)
 		t.releaseSems(ctx, n)
 	default:
-		if t.lat != nil {
-			t.noteLatency(ctx, n, lstart)
-		}
+		t.bodyDone(ctx, n, start, true)
 		t.releaseSems(ctx, n)
 	}
 	t.finishNode(ctx, n)
@@ -398,8 +356,14 @@ func (t *topology) runNode(ctx executor.Context, n *node) {
 // retryable task. It reports whether the execution resolved (success or
 // final failure) — false means a retry was scheduled and the execution
 // remains outstanding. A final failure fail-fast-cancels the topology.
-func (t *topology) runFallible(ctx executor.Context, n *node) bool {
+// The body closes like runNode's other bodies (see bodyDone); an attempt
+// that arms a retry records no latency, since its end-to-end window
+// restarts at the resubmission (latency.go).
+func (t *topology) runFallible(ctx executor.Context, n *node, start int64) bool {
 	err := t.captureErr(n)
+	rp := n.retryPolicy()
+	retry := err != nil && rp != nil && n.ext.attempts < rp.max && !t.cancelled.Load()
+	t.bodyDone(ctx, n, start, !retry)
 	if err == nil {
 		if n.ext != nil {
 			n.ext.attempts = 0
@@ -407,7 +371,7 @@ func (t *topology) runFallible(ctx executor.Context, n *node) bool {
 		t.releaseSems(ctx, n)
 		return true
 	}
-	if rp := n.retryPolicy(); rp != nil && n.ext.attempts < rp.max && !t.cancelled.Load() {
+	if retry {
 		n.ext.attempts++
 		if st := t.stats; st != nil {
 			st.retries.Add(1)
@@ -436,14 +400,6 @@ func (t *topology) captureErr(n *node) (err error) {
 			err = fmt.Errorf("task panicked: %v", r)
 		}
 	}()
-	if st := t.stats; st != nil && st.timing {
-		start := time.Now()
-		defer func() {
-			d := time.Since(start).Nanoseconds()
-			st.busyNs.Add(d)
-			n.execDurNs.Add(d)
-		}()
-	}
 	if t.pprofLabels {
 		// Cold profiling path: the closure allocation is acceptable here
 		// and only here (see EnablePprofLabels).
@@ -475,17 +431,9 @@ func (t *topology) captureErr(n *node) (err error) {
 func (t *topology) invoke(n *node, fn func()) {
 	defer func() {
 		if r := recover(); r != nil {
-			t.setErr(fmt.Errorf("core: task %q panicked: %v", n.nodeName(), r))
+			t.addErr(fmt.Errorf("core: task %q panicked: %v", n.nodeName(), r))
 		}
 	}()
-	if st := t.stats; st != nil && st.timing {
-		start := time.Now()
-		defer func() {
-			d := time.Since(start).Nanoseconds()
-			st.busyNs.Add(d)
-			n.execDurNs.Add(d)
-		}()
-	}
 	t.labeled(n, fn)
 }
 
@@ -499,7 +447,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	needCtx := false
 	var readyNs int64
 	if t.lat != nil {
-		readyNs = executor.Nanotime()
+		readyNs = ctx.Stamp(false)
 	}
 	for _, c := range g.nodes {
 		c.topo = t
@@ -516,7 +464,7 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 		}
 	}
 	if nsrc == 0 {
-		t.setErr(ErrNoSource)
+		t.addErr(ErrNoSource)
 		return false
 	}
 	if needCtx {
@@ -553,11 +501,12 @@ func (t *topology) spawn(ctx executor.Context, g *graph, parent *node) bool {
 	return true
 }
 
-// finishNode completes an execution of n: release its strong successors,
-// then retire. The first ready successor goes into the worker's cache slot
-// so linear chains run back-to-back (Algorithm 1 speculative execution);
-// the rest are pushed without individual wakeups and a single Wake with
-// the batch's ready count replaces one wake attempt per successor.
+// finishNode completes an execution of n: decrement its strong
+// successors' join counters, release those that become ready, then
+// retire. The first ready successor goes into the worker's cache slot so
+// linear chains run back-to-back (Algorithm 1 speculative execution); the
+// rest are pushed without individual wakeups and a single Wake with the
+// batch's ready count replaces one wake attempt per successor.
 func (t *topology) finishNode(ctx executor.Context, n *node) {
 	cached := false
 	extra := 0
@@ -566,10 +515,14 @@ func (t *topology) finishNode(ctx executor.Context, n *node) {
 		k = len(n.succInline)
 	}
 	for i := 0; i < k; i++ {
-		cached, extra = t.notifySucc(ctx, n, n.succInline[i], cached, extra)
+		if s := n.succInline[i]; s.join.Add(-1) == 0 {
+			cached, extra = t.release(ctx, n, s, cached, extra)
+		}
 	}
 	for _, s := range n.succSpill {
-		cached, extra = t.notifySucc(ctx, n, s, cached, extra)
+		if s.join.Add(-1) == 0 {
+			cached, extra = t.release(ctx, n, s, cached, extra)
+		}
 	}
 	if extra > 0 {
 		ctx.Wake(extra)
@@ -577,18 +530,14 @@ func (t *topology) finishNode(ctx executor.Context, n *node) {
 	t.retire(ctx, n)
 }
 
-// notifySucc decrements s's join counter and, on readiness, accounts and
-// submits a new execution: the first ready successor of the batch goes to
-// the speculative cache slot, later ones are queued without waking (the
-// caller issues one Wake for the whole batch). src is the finishing node
-// whose edge performed the decrement; when its decrement is the one that
-// released s, that edge is recorded as a dependency-release trace event —
-// the exporter draws it as a flow arrow along the graph edge that actually
+// release accounts and submits a new execution of s, re-arming its join
+// counter so it can run again on a later loop iteration: the first ready
+// successor of a batch goes to the speculative cache slot, later ones are
+// queued without waking (the caller issues one Wake for the whole batch).
+// The edge from src is recorded as a dependency-release trace event — the
+// exporter draws it as a flow arrow along the graph edge that actually
 // gated s this run.
-func (t *topology) notifySucc(ctx executor.Context, src, s *node, cached bool, extra int) (bool, int) {
-	if s.join.Add(-1) != 0 {
-		return cached, extra
-	}
+func (t *topology) release(ctx executor.Context, src, s *node, cached bool, extra int) (bool, int) {
 	if ctx.Tracing() {
 		ctx.Trace(executor.EvDepRelease, src.Describe(), s.traceID)
 	}
@@ -598,7 +547,7 @@ func (t *topology) notifySucc(ctx executor.Context, src, s *node, cached bool, e
 	}
 	t.pending.Add(1)
 	if t.lat != nil {
-		s.readyAtNs = executor.Nanotime()
+		s.readyAtNs = ctx.Stamp(false)
 	}
 	if s.hasAcquires() && !t.admit(ctx, s) {
 		return cached, extra // parked on a semaphore; a release will submit it

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"runtime/pprof"
 	"strings"
 	"sync/atomic"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"gotaskflow/internal/executor"
+	"gotaskflow/internal/testutil"
 )
 
 // collectTrace runs fn inside a StartTrace/StopTrace window on e.
@@ -284,6 +286,87 @@ func TestPprofLabelsAroundTaskBodies(t *testing.T) {
 	close(block2)
 	if err := fut2.Get(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// waitIdle waits until no worker of e is inside a task, so a trailing
+// EvTaskEnd written after Run returned has reached its ring.
+func waitIdle(t *testing.T, e *executor.Executor) {
+	t.Helper()
+	testutil.Eventually(t, 10*time.Second, func() bool { return e.BusyWorkers() == 0 },
+		"workers still busy after the run finished")
+}
+
+// TestOneClockSpansMatchRunStats: with the flight recorder, latency
+// histograms and timed run stats all on, every consumer reads the same
+// per-worker task-boundary stamps. Over one trace window the summed task
+// spans therefore equal RunStats.Busy exactly, and every HotTasks total
+// equals its task's summed spans.
+func TestOneClockSpansMatchRunStats(t *testing.T) {
+	e := executor.New(2, executor.WithFlightRecorder(1<<12), executor.WithLatencyHistograms())
+	defer e.Shutdown()
+	tf := NewShared(e).SetName("chain").CollectRunStats(true)
+	var n int64
+	prev := tf.Emplace1(func() { n++ }).Name("c0")
+	for i := 1; i < 256; i++ {
+		next := tf.Emplace1(func() { n++ }).Name(fmt.Sprintf("c%d", i))
+		prev.Precede(next)
+		prev = next
+	}
+	if err := tf.Run(); err != nil { // warm-up outside the window
+		t.Fatal(err)
+	}
+	waitIdle(t, e)
+	tr := collectTrace(t, e, func() {
+		if err := tf.Run(); err != nil {
+			t.Fatal(err)
+		}
+		waitIdle(t, e)
+	})
+	if tr.Dropped != 0 {
+		t.Fatalf("window dropped %d events", tr.Dropped)
+	}
+	rs, ok := tf.LastRunStats()
+	if !ok {
+		t.Fatal("no run stats")
+	}
+
+	open := map[int32]executor.TraceEvent{}
+	spans := map[string]time.Duration{}
+	var sum time.Duration
+	count := 0
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case executor.EvTaskStart:
+			open[ev.Worker] = ev
+		case executor.EvTaskEnd:
+			st, ok := open[ev.Worker]
+			if !ok || st.Meta.ID != ev.Meta.ID {
+				t.Fatalf("task end %q on worker %d has no matching start", ev.Meta.Name, ev.Worker)
+			}
+			delete(open, ev.Worker)
+			d := ev.Ts - st.Ts
+			sum += d
+			spans[st.Meta.Name] += d
+			count++
+		}
+	}
+	if count != 256 {
+		t.Fatalf("window holds %d task spans, want 256", count)
+	}
+	if sum != rs.Busy {
+		t.Fatalf("summed spans %v != RunStats.Busy %v", sum, rs.Busy)
+	}
+	if len(rs.HotTasks) == 0 {
+		t.Fatal("no hot tasks")
+	}
+	for _, h := range rs.HotTasks {
+		if spans[h.Name] != h.Total {
+			t.Fatalf("hot task %s total %v != its summed spans %v", h.Name, h.Total, spans[h.Name])
+		}
+	}
+	if flows, ok := e.LatencyStats(); !ok || len(flows) == 0 || flows[0].Exec.Count == 0 {
+		t.Fatal("latency histograms recorded nothing")
 	}
 }
 

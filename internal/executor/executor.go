@@ -120,6 +120,13 @@ type Context interface {
 	// Trace records a trace event attributed to this worker into the
 	// flight recorder. No-op unless built WithFlightRecorder.
 	Trace(kind EventKind, meta TaskMeta, arg uint64)
+	// Stamp returns the Nanotime of the worker's current task boundary,
+	// reading the clock only when that boundary has no stamp yet. Every
+	// timing consumer (event spans, latency histograms, run statistics)
+	// reads this one stamp. bodyEnd closes the running task's body: its
+	// first such call opens the task's end boundary, which is also the
+	// start of the next task of a cached chain.
+	Stamp(bodyEnd bool) int64
 }
 
 // defaultWakeDen is the default denominator of the probabilistic
@@ -149,12 +156,41 @@ type worker struct {
 	// executor was built WithMetrics, nil otherwise. Every instrumentation
 	// point is one nil check on this pointer.
 	metrics *workerMetrics
+
+	// The task-boundary clock (see Stamp), owner-only: stamp is the
+	// current boundary's Nanotime (0 until someone reads it), ended
+	// records that the running task has closed its body.
+	stamp int64
+	ended bool
+
+	// busy is set from the moment the worker finds work until its own
+	// deque runs dry. The owner is its only writer; BusyWorkers sums it.
+	busy atomic.Bool
+}
+
+// paddedWorker keeps each worker on cache lines of its own: the owner
+// writes its struct on every task, and thieves read their victims'.
+type paddedWorker struct {
+	worker
+	_ [metricsPad - unsafe.Sizeof(worker{})%metricsPad]byte
 }
 
 var _ Context = (*worker)(nil)
 
 func (w *worker) WorkerID() int       { return w.id }
 func (w *worker) Executor() Scheduler { return w.exec }
+
+// Stamp implements Context. A task boundary gets one clock read however
+// many consumers ask for it, and none when nobody does.
+func (w *worker) Stamp(bodyEnd bool) int64 {
+	if bodyEnd && !w.ended {
+		w.ended, w.stamp = true, 0
+	}
+	if w.stamp == 0 {
+		w.stamp = Nanotime()
+	}
+	return w.stamp
+}
 
 func (w *worker) Submit(r *Runnable) {
 	w.queue.Push(r)
@@ -228,12 +264,6 @@ type Executor struct {
 	// pool later; see timers.go.
 	timers timerRegistry
 
-	// busy counts workers currently inside a task. Maintaining it costs
-	// two shared-cacheline atomics per task, so it is only updated when
-	// built WithBusyTracking.
-	trackBusy bool
-	busy      atomic.Int64
-
 	// metrics is the scheduler counter storage (see metrics.go), non-nil
 	// only when built WithMetrics.
 	metricsOn bool
@@ -284,11 +314,6 @@ type Option func(*Executor)
 // reproducible in tests. Without it each executor draws a fresh seed.
 func WithSeed(seed int64) Option {
 	return func(e *Executor) { e.seed, e.seedSet = seed, true }
-}
-
-// WithBusyTracking enables the BusyWorkers counter used by profilers.
-func WithBusyTracking() Option {
-	return func(e *Executor) { e.trackBusy = true }
 }
 
 // WithoutTaskCache disables the per-worker speculative task cache
@@ -352,13 +377,14 @@ func New(n int, opts ...Option) *Executor {
 	}
 	e.workers = make([]*worker, n)
 	for i := 0; i < n; i++ {
-		w := &worker{
+		pw := &paddedWorker{worker: worker{
 			id:     i,
 			exec:   e,
 			queue:  wsq.New[Runnable](256),
 			rng:    rand.New(rand.NewSource(e.seed + int64(i)*7919)),
 			victim: (i + 1) % n,
-		}
+		}}
+		w := &pw.worker
 		if e.metrics != nil {
 			w.queue.SetCounters(&e.metrics.deques[i].Counters)
 			w.metrics = &e.metrics.workers[i].workerMetrics
@@ -383,10 +409,18 @@ func New(n int, opts ...Option) *Executor {
 // NumWorkers returns the number of worker goroutines.
 func (e *Executor) NumWorkers() int { return len(e.workers) }
 
-// BusyWorkers returns the number of workers currently executing a task.
-// It is a racy snapshot intended for profiling and is only maintained when
-// the executor was built with WithBusyTracking.
-func (e *Executor) BusyWorkers() int { return int(e.busy.Load()) }
+// BusyWorkers returns the number of workers currently executing tasks (a
+// worker stays busy until its own deque runs dry). It is a racy snapshot
+// of the workers' own flags, intended for profiling.
+func (e *Executor) BusyWorkers() int {
+	n := 0
+	for _, w := range e.workers {
+		if w.busy.Load() {
+			n++
+		}
+	}
+	return n
+}
 
 // Submit schedules a task from outside the worker pool via the injection
 // queue (work sharing). Tasks running inside the pool should use their
@@ -706,6 +740,12 @@ func (e *Executor) run(w *worker) {
 		// Line 2: try local queue.
 		r, ok := w.queue.Pop()
 		if !ok {
+			// Out of local work: the worker no longer counts as busy. The
+			// flag is stored only when it changes, so a worker draining
+			// its own deque pays no atomic store per chain.
+			if w.busy.Load() {
+				w.busy.Store(false)
+			}
 			// Line 3: steal.
 			r, ok = w.steal()
 		}
@@ -751,7 +791,12 @@ func (e *Executor) run(w *worker) {
 		}
 
 		// Lines 16-25: invoke, then drain the speculative cache so linear
-		// chains run without queue operations.
+		// chains run without queue operations. Consecutive tasks of the
+		// chain share a clock boundary; each chain starts unstamped.
+		if !w.busy.Load() {
+			w.busy.Store(true)
+		}
+		w.stamp = 0
 		for r != nil {
 			e.invoke(w, r)
 			r = w.cache
@@ -774,26 +819,16 @@ func (e *Executor) invoke(w *worker, r *Runnable) {
 	if m := w.metrics; m != nil {
 		m.executed.Add(1)
 	}
-	tracing := w.Tracing()
-	if !e.trackBusy && !tracing {
+	w.ended = false
+	if e.flight == nil {
 		e.safeRun(w, r)
 		return
 	}
-	var meta TaskMeta
-	if tracing {
-		meta = taskMetaOf(r)
-		w.Trace(EvTaskStart, meta, 0)
-	}
-	if e.trackBusy {
-		e.busy.Add(1)
-	}
+	meta := taskMetaOf(r)
+	w.Trace(EvTaskStart, meta, 0)
 	e.safeRun(w, r)
-	if e.trackBusy {
-		e.busy.Add(-1)
-	}
-	if tracing {
-		w.Trace(EvTaskEnd, meta, 0)
-	}
+	w.Stamp(true) // the span ends with the body, wherever it closed
+	w.Trace(EvTaskEnd, meta, 0)
 }
 
 // safeRun executes r under worker-level panic containment: a panic that

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gotaskflow/internal/testutil"
 )
 
 // waitCounter blocks until the counter reaches want or the timeout expires.
@@ -270,23 +272,32 @@ func TestStealingHappens(t *testing.T) {
 	}
 }
 
+// TestBusyWorkers: a default executor reports 0 busy workers when idle
+// and exactly n while n tasks block, read from the workers' own flags.
 func TestBusyWorkers(t *testing.T) {
-	e := New(2, WithBusyTracking())
+	const n = 2
+	e := New(n)
 	defer e.Shutdown()
+	if got := e.BusyWorkers(); got != 0 {
+		t.Fatalf("idle BusyWorkers() = %d, want 0", got)
+	}
 	release := make(chan struct{})
-	started := make(chan struct{}, 2)
-	for i := 0; i < 2; i++ {
+	started := make(chan struct{}, n)
+	for i := 0; i < n; i++ {
 		e.SubmitFunc(func(Context) {
 			started <- struct{}{}
 			<-release
 		})
 	}
-	<-started
-	<-started
-	if got := e.BusyWorkers(); got != 2 {
-		t.Fatalf("BusyWorkers() = %d, want 2", got)
+	for i := 0; i < n; i++ {
+		<-started
+	}
+	if got := e.BusyWorkers(); got != n {
+		t.Fatalf("BusyWorkers() = %d while %d tasks block, want %d", got, n, n)
 	}
 	close(release)
+	testutil.Eventually(t, 10*time.Second, func() bool { return e.BusyWorkers() == 0 },
+		"BusyWorkers() stays above 0 after the tasks returned")
 }
 
 func TestIdleWakeupLatency(t *testing.T) {

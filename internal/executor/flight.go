@@ -19,20 +19,27 @@ package executor
 // Cost model: every instrumentation point (worker.Trace/traceEvent,
 // Executor.TraceExternal, the task spans in invoke) is one nil check on
 // executors built without WithFlightRecorder. An armed recorder pays one
-// clock read and one mutexed slot write per event, with no allocation.
-// Because recording is continuous, worker.Tracing() reports true whenever
-// the recorder is armed, which also makes internal/core emit its
+// mutexed slot write per event, with no allocation, and a worker's events
+// take no clock read of their own: inside a chain of tasks they carry the
+// worker's task-boundary stamp (worker.Stamp), shared with the latency
+// histograms and run statistics, so a chain pays one read per task.
+// Between chains (steals, parks) each event reads the clock. Because
+// recording is continuous, worker.Tracing() reports true whenever the
+// recorder is armed, which also makes internal/core emit its
 // task/dependency events.
 //
 // Copy protocol: a wrapping ring REUSES slots, so a lock-free reader
 // could observe a slot torn mid-overwrite. Each ring therefore carries its
-// own mutex: record's critical section is one clock read, one slot copy
-// and a counter bump, and readers hold only one ring's lock at a time
-// while copying that ring. A writer contends only when a copy of its own
-// ring is in flight. Accounting is exact: Dropped is precisely the number
-// of events the wrap overwrote before they could be copied. Because the
-// timestamp is taken under the ring lock, a ring's events are in time
-// order and every event after a window's mark is stamped after its start.
+// own mutex: the critical section is one slot copy and a counter bump,
+// and readers hold only one ring's lock at a time while copying that
+// ring. A writer contends only when a copy of its own ring is in flight.
+// Accounting is exact: Dropped is precisely the number of events the wrap
+// overwrote before they could be copied. A worker ring has one writer,
+// its owner, whose stamps never go backwards, so the ring is in time
+// order; the external ring's writers may interleave, and the merge sorts
+// every copy by time. A stamp is read before its event is written, so an
+// event just past a window's mark can predate the window's start;
+// StopTrace then rebases the window to that event.
 
 import (
 	"sort"
@@ -45,9 +52,9 @@ import (
 var epoch = time.Now()
 
 // Nanotime returns monotonic nanoseconds since a package-level epoch. It
-// is the one time base of the executor's observability: ring events are
-// stamped with it, and internal/core stamps latency-histogram samples
-// with it, so the two can be compared directly.
+// is the one time base of the executor's observability: ring events,
+// latency-histogram samples and timed run stats all carry it, on the pool
+// through the worker's task-boundary stamp (Context.Stamp).
 func Nanotime() int64 { return int64(time.Since(epoch)) }
 
 // flightRing is one worker's wrapping event buffer. len(buf) is a power
@@ -63,9 +70,8 @@ type flightRing struct {
 	mark int64
 }
 
-func (r *flightRing) record(ev TraceEvent) {
+func (r *flightRing) write(ev TraceEvent) {
 	r.mu.Lock()
-	ev.Ts = time.Duration(Nanotime())
 	r.buf[r.n&r.mask] = ev
 	r.n++
 	r.mu.Unlock()
@@ -100,25 +106,27 @@ func newFlightState(workers, capacity int) *flightState {
 	return f
 }
 
+// record appends an event stamped now to worker's ring, or to the
+// external ring when worker is not a pool worker.
 func (f *flightState) record(worker int32, kind EventKind, meta TaskMeta, arg uint64) {
-	ev := TraceEvent{Worker: worker, Kind: kind, Arg: arg, Meta: meta}
-	if worker >= 0 && int(worker) < len(f.rings)-1 {
-		f.rings[worker].record(ev)
-		return
+	f.put(worker, kind, meta, arg, Nanotime())
+}
+
+// put appends an event stamped ts; a worker stamps its own events.
+func (f *flightState) put(worker int32, kind EventKind, meta TaskMeta, arg uint64, ts int64) {
+	ev := TraceEvent{Ts: time.Duration(ts), Worker: worker, Kind: kind, Arg: arg, Meta: meta}
+	if worker < 0 || int(worker) >= len(f.rings)-1 {
+		ev.Worker, worker = ExternalWorker, int32(len(f.rings)-1)
 	}
-	ev.Worker = ExternalWorker
-	f.rings[len(f.rings)-1].record(ev)
+	f.rings[worker].write(ev)
 }
 
 // merge copies each ring's retained events from its window mark (window)
 // or from its first event (snapshot) into one time-ordered Trace, with
-// timestamps rebased to the window start or the recorder's construction.
+// timestamps rebased to the window start (or its earliest event, if that
+// is earlier) or the recorder's construction.
 func (f *flightState) merge(workers int, window bool) Trace {
-	base := f.born
-	if window {
-		base = f.start
-	}
-	tr := Trace{Epoch: epoch.Add(time.Duration(base)), Workers: workers}
+	tr := Trace{Workers: workers}
 	for i := range f.rings {
 		r := &f.rings[i]
 		var from int64
@@ -133,12 +141,20 @@ func (f *flightState) merge(workers int, window bool) Trace {
 		r.mu.Unlock()
 		tr.Dropped += uint64(lo - from)
 	}
-	for i := range tr.Events {
-		tr.Events[i].Ts -= time.Duration(base)
-	}
 	sort.SliceStable(tr.Events, func(i, j int) bool {
 		return tr.Events[i].Ts < tr.Events[j].Ts
 	})
+	base := time.Duration(f.born)
+	if window {
+		base = time.Duration(f.start)
+		if len(tr.Events) > 0 && tr.Events[0].Ts < base {
+			base = tr.Events[0].Ts
+		}
+	}
+	tr.Epoch = epoch.Add(base)
+	for i := range tr.Events {
+		tr.Events[i].Ts -= base
+	}
 	return tr
 }
 
@@ -255,9 +271,19 @@ func (e *Executor) TraceExternal(kind EventKind, meta TaskMeta, arg uint64) {
 func (w *worker) Tracing() bool { return w.exec.flight != nil }
 
 // Trace implements Context: record an event attributed to this worker.
+// While the worker is busy it carries the current task boundary's stamp,
+// so the bookkeeping after a body (releases, wakes) is stamped at the
+// body's end and a released cached task starts at its release; once its
+// deque runs dry (steals, parks) it reads the clock.
 func (w *worker) Trace(kind EventKind, meta TaskMeta, arg uint64) {
 	if f := w.exec.flight; f != nil {
-		f.record(int32(w.id), kind, meta, arg)
+		var ts int64
+		if w.busy.Load() {
+			ts = w.Stamp(false)
+		} else {
+			ts = Nanotime()
+		}
+		f.put(int32(w.id), kind, meta, arg, ts)
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"gotaskflow/internal/testutil"
 )
 
 // TestFlightWrapAroundAccounting pins the drop-oldest snapshot protocol:
@@ -297,5 +299,83 @@ func TestFlightRecordZeroAlloc(t *testing.T) {
 		e.flight.record(0, EvTaskStart, meta, 0)
 	}); allocs != 0 {
 		t.Fatalf("flight record allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestSpanExcludesIdleTime: a worker's clock boundary never outlives its
+// chain. After each chain the worker wakes its parked peer (wake
+// probability 1), recording an event stamped with the boundary; the task
+// it runs after idling must still start from a fresh stamp, not one from
+// before the idle period.
+func TestSpanExcludesIdleTime(t *testing.T) {
+	e := New(2, WithFlightRecorder(1<<10), WithWakeProbability(1))
+	defer e.Shutdown()
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
+	const rounds = 8
+	const idle = 20 * time.Millisecond
+	for i := 0; i < rounds; i++ {
+		done := make(chan struct{})
+		if err := e.SubmitFunc(func(Context) { close(done) }); err != nil {
+			t.Fatal(err)
+		}
+		<-done
+		time.Sleep(idle)
+	}
+	testutil.Eventually(t, 10*time.Second, func() bool { return e.BusyWorkers() == 0 },
+		"workers still busy after the last task")
+	tr, ok := e.StopTrace()
+	if !ok {
+		t.Fatal("StopTrace failed")
+	}
+	open := map[int32]time.Duration{}
+	spans := 0
+	for _, ev := range tr.Events {
+		switch ev.Kind {
+		case EvTaskStart:
+			open[ev.Worker] = ev.Ts
+		case EvTaskEnd:
+			if st, ok := open[ev.Worker]; ok {
+				spans++
+				if d := ev.Ts - st; d >= idle {
+					t.Fatalf("empty task span on worker %d lasted %v, spanning the idle period", ev.Worker, d)
+				}
+			}
+		}
+	}
+	if spans != rounds {
+		t.Fatalf("window holds %d task spans, want %d", spans, rounds)
+	}
+}
+
+// TestTraceWindowRebasesEarlyStamp: a worker reads its boundary stamp
+// before writing the event, so an event just past a window's mark can be
+// stamped before the window's start. The window then starts at that
+// event: nothing is clamped or dropped, and offsets stay exact.
+func TestTraceWindowRebasesEarlyStamp(t *testing.T) {
+	e := bareRecorder(1, 16)
+	early := Nanotime()
+	time.Sleep(time.Millisecond)
+	if !e.StartTrace() {
+		t.Fatal("StartTrace failed")
+	}
+	e.flight.put(0, EvTaskStart, TaskMeta{ID: 1}, 0, early)
+	e.flight.record(0, EvTaskEnd, TaskMeta{ID: 1}, 0)
+	tr, ok := e.StopTrace()
+	if !ok {
+		t.Fatal("StopTrace failed")
+	}
+	if len(tr.Events) != 2 || tr.Dropped != 0 {
+		t.Fatalf("window holds %d events (dropped %d), want both", len(tr.Events), tr.Dropped)
+	}
+	if tr.Events[0].Ts != 0 {
+		t.Fatalf("early event at offset %v, want the window rebased to it (0)", tr.Events[0].Ts)
+	}
+	if !tr.Epoch.Equal(epoch.Add(time.Duration(early))) {
+		t.Fatalf("window epoch %v, want the early event's instant %v", tr.Epoch, epoch.Add(time.Duration(early)))
+	}
+	if tr.Events[1].Ts < time.Millisecond {
+		t.Fatalf("end event at offset %v, want at least the 1ms slept after the early stamp", tr.Events[1].Ts)
 	}
 }

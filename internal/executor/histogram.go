@@ -308,8 +308,10 @@ type latencyState struct {
 // WithLatencyHistograms enables continuous per-flow latency histograms:
 // every flow registered with NewFlow gets its own queue-wait / execution /
 // end-to-end histogram set, plus one shared set for topologies bound to
-// no flow. Record cost is three shard-local atomic adds per task plus two
-// clock reads in internal/core; executors built without this option pay
+// no flow. Record cost is three shard-local atomic adds per dimension;
+// the timestamps are the worker's task-boundary stamps (Context.Stamp),
+// one clock read per task on a cached chain, shared with the flight
+// recorder and timed run stats. Executors built without this option pay
 // one nil check per topology and nothing per task.
 func WithLatencyHistograms() Option {
 	return func(e *Executor) { e.latencyOn = true }

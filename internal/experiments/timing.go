@@ -164,7 +164,7 @@ func Fig10Utilization(w io.Writer, design Design, scale int, workerCounts []int,
 		"workers", "mean_util_pct", "peak_busy", "samples", "elapsed_ms")
 	for _, n := range workerCounts {
 		tm := sta.New(ckt, ClockPeriod)
-		e := executor.New(n, executor.WithBusyTracking())
+		e := executor.New(n)
 		a := stav2.NewShared(tm, e)
 		sampler := profile.NewSampler(e, 500*time.Microsecond)
 		sampler.Start()

@@ -3,9 +3,11 @@ package metrics
 import (
 	"encoding/json"
 	"expvar"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"gotaskflow/internal/executor"
@@ -92,13 +94,18 @@ func TestHandler(t *testing.T) {
 	}
 }
 
+var publishRuns atomic.Int64
+
 func TestPublishExpvar(t *testing.T) {
 	e := executor.New(2, executor.WithMetrics())
 	defer e.Shutdown()
 	runSome(t, e, 50)
 
-	Publish("taskflow_sched_test", e)
-	v := expvar.Get("taskflow_sched_test")
+	// expvar names are process-global and Publish panics on reuse, so
+	// each run of the test (go test -count=N) takes a fresh name.
+	name := fmt.Sprintf("taskflow_sched_test_%d", publishRuns.Add(1))
+	Publish(name, e)
+	v := expvar.Get(name)
 	if v == nil {
 		t.Fatal("expvar variable not registered")
 	}

@@ -54,7 +54,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"gotaskflow/internal/executor"
 )
@@ -313,10 +312,11 @@ type Pipeline struct {
 	lineTokens []atomic.Int64
 
 	// lat is the token-latency sink (nil when the scheduler records no
-	// histograms); lineStart stamps each line's in-flight token at
-	// generation. Writes and reads are ordered by the join-counter chain.
+	// histograms); lineStart holds each line's in-flight token's
+	// generation time, the head cell's task-boundary stamp. Writes and
+	// reads are ordered by the join-counter chain.
 	lat       executor.LatencySink
-	lineStart []time.Time
+	lineStart []int64
 
 	defMu sync.Mutex // guards every cell's waiters list
 
@@ -358,9 +358,7 @@ func New(sched executor.Scheduler, lines int, pipes ...Pipe) *Pipeline {
 	if lp, ok := sched.(executor.LatencyProvider); ok {
 		p.lat = lp.LatencySink(nil)
 	}
-	if p.lat != nil {
-		p.lineStart = make([]time.Time, lines)
-	}
+	p.lineStart = make([]int64, lines)
 	p.lineTokens = make([]atomic.Int64, lines)
 	p.cells = make([][]cell, lines)
 	for l := 0; l < lines; l++ {
@@ -409,9 +407,6 @@ func (p *Pipeline) BindFlow(f executor.Flow) {
 	if lp, ok := p.sched.(executor.LatencyProvider); ok {
 		if sink := lp.LatencySink(f); sink != nil {
 			p.lat = sink
-			if p.lineStart == nil {
-				p.lineStart = make([]time.Time, p.lines)
-			}
 		}
 	}
 }
@@ -557,7 +552,7 @@ func (p *Pipeline) runCell(ctx executor.Context, c *cell) {
 		pf := &c.pf
 		pf.line, pf.pipe, pf.token, pf.stop, pf.deferTo = l, 0, tok, false, -1
 		if p.lat != nil {
-			p.lineStart[l] = time.Now()
+			p.lineStart[l] = ctx.Stamp(false)
 		}
 		p.invoke(&p.pipes[0], pf)
 		if pf.stop {
@@ -620,8 +615,8 @@ func (p *Pipeline) completeToken(ctx executor.Context, l int) {
 	p.total.Add(1)
 	p.lineTokens[l].Add(1)
 	if p.lat != nil {
-		e2e := time.Since(p.lineStart[l]).Nanoseconds()
-		p.lat.RecordLatency(ctx.WorkerID(), 0, e2e)
+		// The token ends with the last cell's body.
+		p.lat.RecordLatency(ctx.WorkerID(), 0, ctx.Stamp(true)-p.lineStart[l])
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 )
 
 func TestSamplerObservesBusyWorkers(t *testing.T) {
-	e := executor.New(2, executor.WithBusyTracking())
+	e := executor.New(2)
 	defer e.Shutdown()
 	s := NewSampler(e, 200*time.Microsecond)
 	s.Start()
@@ -47,7 +47,7 @@ func TestSamplerObservesBusyWorkers(t *testing.T) {
 }
 
 func TestSamplerIdleExecutor(t *testing.T) {
-	e := executor.New(2, executor.WithBusyTracking())
+	e := executor.New(2)
 	defer e.Shutdown()
 	s := NewSampler(e, 200*time.Microsecond)
 	s.Start()
@@ -75,7 +75,7 @@ func TestMeanUtilizationEdgeCases(t *testing.T) {
 }
 
 func TestIntervalClamped(t *testing.T) {
-	e := executor.New(1, executor.WithBusyTracking())
+	e := executor.New(1)
 	defer e.Shutdown()
 	s := NewSampler(e, 0)
 	if s.interval < 100*time.Microsecond {

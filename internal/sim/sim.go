@@ -762,6 +762,9 @@ func (c simCtx) Executor() executor.Scheduler                        { return c.
 func (c simCtx) Tracing() bool                                       { return false }
 func (c simCtx) Trace(executor.EventKind, executor.TaskMeta, uint64) {}
 
+// Stamp reads the wall clock: the simulation keeps no task boundaries.
+func (c simCtx) Stamp(bool) int64 { return executor.Nanotime() }
+
 // target picks the deque a worker-context submission lands on. On the
 // real pool a task submitted from a worker always enters that worker's
 // own deque, but which worker ultimately *executes* it is decided later

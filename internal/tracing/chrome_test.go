@@ -11,6 +11,7 @@ import (
 
 	"gotaskflow/internal/core"
 	"gotaskflow/internal/executor"
+	"gotaskflow/internal/testutil"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -89,6 +90,10 @@ func exportForRun(t *testing.T, e *executor.Executor, fn func()) traceDoc {
 		t.Fatal("StartTrace failed")
 	}
 	fn()
+	// A run's waiter wakes before the last worker writes its final
+	// EvTaskEnd; close the window only once every worker is idle.
+	testutil.Eventually(t, 10*time.Second, func() bool { return e.BusyWorkers() == 0 },
+		"workers still busy after the run finished")
 	tr, ok := e.StopTrace()
 	if !ok {
 		t.Fatal("StopTrace failed")

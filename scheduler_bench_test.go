@@ -19,35 +19,14 @@ import (
 func BenchmarkSchedLinearChain(b *testing.B) {
 	tf := core.New(workers())
 	defer tf.Close()
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	benchChain(b, tf)
 }
 
-// BenchmarkSchedLinearChainMetricsOn is BenchmarkSchedLinearChain with
-// the full observability stack enabled — executor scheduler counters
-// (WithMetrics) plus timed run statistics (CollectRunStats). It is the
-// enabled-path allocation gate: -benchmem must still report 0 allocs/op,
-// and the ns/op delta against the plain benchmark is the whole cost of
-// counting.
-func BenchmarkSchedLinearChainMetricsOn(b *testing.B) {
-	e := executor.New(workers(), executor.WithMetrics())
-	defer e.Shutdown()
-	tf := core.NewShared(e).CollectRunStats(true)
+// benchChain builds a 256-node chain on tf and re-runs it b.N times after
+// one untimed warm-up run. Every rung of the observability ladder below
+// runs it, so the ns/op deltas against BenchmarkSchedLinearChain are the
+// per-layer costs, and each rung must report 0 allocs/op with -benchmem.
+func benchChain(b *testing.B, tf *core.Taskflow) {
 	var n int64
 	prev := tf.Emplace1(func() { n++ })
 	for i := 1; i < 256; i++ {
@@ -66,82 +45,81 @@ func BenchmarkSchedLinearChainMetricsOn(b *testing.B) {
 		}
 	}
 	b.StopTimer()
+}
+
+// BenchmarkSchedLinearChainCountersOn arms the executor's scheduler
+// counters (WithMetrics) alone: owner-written padded atomics, no clock.
+func BenchmarkSchedLinearChainCountersOn(b *testing.B) {
+	e := executor.New(workers(), executor.WithMetrics())
+	defer e.Shutdown()
+	benchChain(b, core.NewShared(e))
 	if snap, ok := e.MetricsSnapshot(); !ok || snap.Total().Executed == 0 {
 		b.Fatal("metrics were not collected during the benchmark")
 	}
 }
 
-// BenchmarkSchedLinearChainHistogramsOn is BenchmarkSchedLinearChain with
-// per-flow latency histograms armed (WithLatencyHistograms): every task
-// execution stamps a ready time in core, reads the clock twice and records
-// queue-wait, execution and end-to-end into worker-sharded histograms. It
-// is the histogram enabled-path allocation gate: -benchmem must report
-// 0 allocs/op — the record path is three shard-local atomic adds per
-// dimension — and the ns/op delta against the plain benchmark is the whole
-// cost of always-on latency accounting.
+// BenchmarkSchedLinearChainRunStatsOn collects timed run statistics
+// (CollectRunStats(true)) alone: per-run counters plus each body's span
+// from the worker's task-boundary clock.
+func BenchmarkSchedLinearChainRunStatsOn(b *testing.B) {
+	e := executor.New(workers())
+	defer e.Shutdown()
+	tf := core.NewShared(e).CollectRunStats(true)
+	benchChain(b, tf)
+	if rs, ok := tf.LastRunStats(); !ok || rs.Busy == 0 {
+		b.Fatal("run stats recorded no busy time during the benchmark")
+	}
+}
+
+// BenchmarkSchedLinearChainHistogramsOn arms per-flow latency histograms
+// (WithLatencyHistograms) alone: each execution records queue-wait,
+// execution and end-to-end — three shard-local atomic adds per dimension —
+// from the task-boundary stamps.
 func BenchmarkSchedLinearChainHistogramsOn(b *testing.B) {
 	e := executor.New(workers(), executor.WithLatencyHistograms())
 	defer e.Shutdown()
-	tf := core.NewShared(e)
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
+	benchChain(b, core.NewShared(e))
 	flows, ok := e.LatencyStats()
 	if !ok || len(flows) == 0 || flows[0].EndToEnd.Count == 0 {
 		b.Fatal("latency histograms recorded nothing during the benchmark")
 	}
 }
 
-// BenchmarkSchedLinearChainFlightOn is BenchmarkSchedLinearChain with the
-// always-armed flight recorder (WithFlightRecorder) and a trace window
-// open across the timed loop: every task span and scheduler lifecycle
-// event is continuously written into the per-worker wrap-around rings,
-// oldest events overwritten in place. It is the recording enabled-path
-// allocation gate: -benchmem must report 0 allocs/op — ring slots are
-// rewritten, never grown, and an open window is only a mark — and the
-// ns/op delta against the plain benchmark is the whole cost of recording.
+// BenchmarkSchedLinearChainFlightOn arms the flight recorder
+// (WithFlightRecorder) alone, with a trace window open across the timed
+// loop: every task span and scheduler event is written into the
+// per-worker wrap-around rings. Ring slots are rewritten, never grown, and
+// an open window is only a mark.
 func BenchmarkSchedLinearChainFlightOn(b *testing.B) {
 	e := executor.New(workers(), executor.WithFlightRecorder(1<<12))
 	defer e.Shutdown()
-	tf := core.NewShared(e)
-	var n int64
-	prev := tf.Emplace1(func() { n++ })
-	for i := 1; i < 256; i++ {
-		next := tf.Emplace1(func() { n++ })
-		prev.Precede(next)
-		prev = next
-	}
-	if err := tf.Run(); err != nil {
-		b.Fatal(err)
-	}
 	if !e.StartTrace() {
 		b.Fatal("StartTrace failed")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := tf.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
+	benchChain(b, core.NewShared(e))
 	if tr, ok := e.StopTrace(); !ok || len(tr.Events) == 0 {
 		b.Fatal("no trace events were recorded during the benchmark")
+	}
+}
+
+// BenchmarkSchedLinearChainAllOn arms every layer at once — counters,
+// timed run stats, histograms and the flight recorder with an open
+// window. They all read one stamp per task boundary, so this rung costs
+// less than the sum of the single-layer deltas.
+func BenchmarkSchedLinearChainAllOn(b *testing.B) {
+	e := executor.New(workers(), executor.WithMetrics(),
+		executor.WithLatencyHistograms(), executor.WithFlightRecorder(1<<12))
+	defer e.Shutdown()
+	if !e.StartTrace() {
+		b.Fatal("StartTrace failed")
+	}
+	tf := core.NewShared(e).CollectRunStats(true)
+	benchChain(b, tf)
+	if tr, ok := e.StopTrace(); !ok || len(tr.Events) == 0 {
+		b.Fatal("no trace events were recorded during the benchmark")
+	}
+	if rs, ok := tf.LastRunStats(); !ok || rs.Busy == 0 {
+		b.Fatal("run stats recorded no busy time during the benchmark")
 	}
 }
 
